@@ -1,11 +1,13 @@
 """Planar arrangement of a cycle embedding: vertices, edges, and two
-independent region counters.
+region counters.
 
-The Euler counter subdivides the drawing and evaluates E - V + 1 for the
-bounded faces of a connected plane graph. The traversal counter never
+Both counters read the drawing's pair table and the subdivision built
+from it; the subdivision is connected since each segment's chain joins
+two corners and neighbouring segments share one. The Euler counter
+evaluates E - V + 1 for the bounded faces. The traversal counter never
 touches that identity: it sorts edge ends around each vertex by exact
 angle and counts the orbits of the face-walk permutation, so the two
-agreeing is a real check and not a tautology.
+agreeing checks the counting, not the shared pair classification.
 """
 
 from __future__ import annotations
@@ -14,13 +16,8 @@ import enum
 import functools
 from dataclasses import dataclass
 
-from .embedding import CycleEmbedding, DegeneracyReport, validate_general_position
-from .geometry import (
-    IntersectionKind,
-    Point,
-    segment_intersection,
-    sort_points_along,
-)
+from .embedding import CycleEmbedding, DegeneracyReport, pair_table
+from .geometry import Point, sort_points_along
 
 
 class DegenerateInput(ValueError):
@@ -29,10 +26,6 @@ class DegenerateInput(ValueError):
     def __init__(self, report: DegeneracyReport):
         super().__init__(f"embedding is degenerate: {report.summary()}")
         self.report = report
-
-
-class DisconnectedArrangement(RuntimeError):
-    """Defensive: a cycle's arrangement is always connected."""
 
 
 class VertexKind(enum.Enum):
@@ -89,26 +82,16 @@ def _subdivided_graph(emb: CycleEmbedding):
     which guarantees every proper crossing involves exactly two segments
     and lies strictly inside both.
     """
-    report = validate_general_position(emb)
-    if not report.is_empty():
-        raise DegenerateInput(report)
-    segs = emb.segments()
-    n = emb.n
-    interior: list[list[Point]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            hit = segment_intersection(segs[i], segs[j])
-            if hit.kind is IntersectionKind.PROPER_CROSSING:
-                interior[i].append(hit.point)
-                interior[j].append(hit.point)
-
+    table = pair_table(emb)
+    if not table.report.is_empty():
+        raise DegenerateInput(table.report)
     index: dict[Point, int] = {}
     verts: list[tuple[Point, VertexKind]] = []
     for p in emb.corners:
         index[p] = len(verts)
         verts.append((p, VertexKind.CORNER))
     crossing_points = sorted(
-        {p for pts in interior for p in pts}, key=lambda p: (p.x, p.y)
+        {p for pts in table.crossings for p in pts}, key=lambda p: (p.x, p.y)
     )
     for p in crossing_points:
         index[p] = len(verts)
@@ -116,27 +99,13 @@ def _subdivided_graph(emb: CycleEmbedding):
 
     adj: list[set[int]] = [set() for _ in verts]
     per_segment = []
-    for i, seg in enumerate(segs):
-        chain = [seg.a] + sort_points_along(seg, interior[i]) + [seg.b]
+    for i, seg in enumerate(emb.segments()):
+        chain = [seg.a] + sort_points_along(seg, table.crossings[i]) + [seg.b]
         for u, v in zip(chain, chain[1:]):
             adj[index[u]].add(index[v])
             adj[index[v]].add(index[u])
         per_segment.append((len(chain), len(chain) - 1))
     return verts, adj, per_segment
-
-
-def _assert_connected(adj: list[set[int]]) -> None:
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != len(adj):
-        raise DisconnectedArrangement(
-            f"reached {len(seen)} of {len(adj)} arrangement vertices"
-        )
 
 
 def build_arrangement(emb: CycleEmbedding) -> Arrangement:
@@ -146,7 +115,6 @@ def build_arrangement(emb: CycleEmbedding) -> Arrangement:
     plane graph.
     """
     verts, adj, per_segment = _subdivided_graph(emb)
-    _assert_connected(adj)
     v = len(verts)
     e = sum(edges for _, edges in per_segment)
     return Arrangement(tuple(verts), v, e, e - v + 1, tuple(per_segment))
@@ -189,7 +157,6 @@ def region_count_traversal(emb: CycleEmbedding) -> int:
     map are the faces of the embedding, one of which is unbounded.
     """
     verts, adj, _ = _subdivided_graph(emb)
-    _assert_connected(adj)
     pts = [p for p, _ in verts]
     ccw = [
         sorted(neigh, key=_ccw_key(pts[v], pts)) for v, neigh in enumerate(adj)
@@ -217,21 +184,17 @@ def splitter_analysis(emb: CycleEmbedding) -> SplitterReport:
 
     Works on degenerate embeddings except collinear overlaps, where the
     notion of one intersection per pair breaks down; those raise
-    DegenerateInput.
+    DegenerateInput. Coincident adjacent corners collapse a segment and
+    raise ValueError.
     """
-    segs = emb.segments()
+    table = pair_table(emb)
+    if table.report.collinear_overlaps:
+        raise DegenerateInput(table.report)
+    if table.meets is None:
+        raise ValueError("segment endpoints coincide")
     n = emb.n
-    counts = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            kind = segment_intersection(segs[i], segs[j]).kind
-            if kind is IntersectionKind.COLLINEAR_OVERLAP:
-                raise DegenerateInput(validate_general_position(emb))
-            if kind is not IntersectionKind.DISJOINT:
-                counts[i] += 1
-                counts[j] += 1
     rows = []
-    for c in counts:
+    for c in table.meets:
         if c == n - 1:
             cls = SegmentClass.SPLITTER
         elif c == n - 2:

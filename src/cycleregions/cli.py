@@ -1,8 +1,9 @@
 """Command line front end.
 
-Exit codes: 0 success, 2 bad input, 3 I/O failure, 4 degenerate geometry,
-5 verification failure. Every randomized command prints its seed so any
-run can be reproduced from its own log.
+Exit codes: 0 success, 2 bad input, 3 I/O failure, 4 degenerate geometry
+or failed perturbation, 5 verification failure or failed even-construction
+check. Every randomized command prints its seed so any run can be
+reproduced from its own log.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ from .arrangement import (
     splitter_analysis,
 )
 from .embedding import (
+    ConstructionCheckFailed,
     CycleEmbedding,
+    PerturbationFailed,
     construct,
     load_embedding,
     save_embedding,
@@ -201,6 +204,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_render(args) -> int:
+    if args.width <= 0 or args.height <= 0:
+        raise ValueError(f"render size must be positive, got {args.width}x{args.height}")
     emb = load_embedding(args.path)
     opts = RenderOptions(
         width=args.width,
@@ -293,6 +298,12 @@ def main(argv=None) -> int:
     except DegenerateInput as exc:
         print(f"degenerate geometry: {exc.report.summary()}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except PerturbationFailed as exc:
+        print(f"degenerate geometry: {exc}", file=sys.stderr)
+        return EXIT_DEGENERATE
+    except ConstructionCheckFailed as exc:
+        print(f"construction check failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     except (InvalidN, NTooLarge, ValueError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

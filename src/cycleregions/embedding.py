@@ -1,6 +1,6 @@
 """Cycle embeddings: corner placements, the two extremal constructions,
-general-position validation, deterministic perturbation, and the text
-file format.
+the pair table behind general-position validation, deterministic
+perturbation, and the text file format.
 
 An embedding is the full description of a drawing: n corners in cycle
 order, with segment i joining corner i to corner (i+1) mod n. Corners are
@@ -10,11 +10,12 @@ tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Union
 
 from .formulas import InvalidN, f_max
 from .geometry import (
@@ -42,6 +43,10 @@ class ConstructionNotACycle(RuntimeError):
 
 class PerturbationFailed(RuntimeError):
     """No general-position embedding found within the retry budget."""
+
+
+class ConstructionCheckFailed(RuntimeError):
+    """The even construction missed f(n) regions or its splitter classes."""
 
 
 @dataclass(frozen=True)
@@ -106,13 +111,20 @@ class DegeneracyReport:
         return "; ".join(parts)
 
 
-def validate_general_position(emb: CycleEmbedding) -> DegeneracyReport:
-    """Exhaustively scan an embedding for degeneracies.
+class PairTable(NamedTuple):
+    """A drawing's DegeneracyReport, each segment's proper crossing points and
+    how many other segments each one meets; crossings and meets are None
+    when adjacent corners coincide, since a collapsed segment has no pairs."""
 
-    General position means: corners pairwise distinct, no corner interior
-    to a non-incident segment, no collinear overlapping segments, and no
-    point where three or more segments cross.
-    """
+    report: DegeneracyReport
+    crossings: Optional[tuple[tuple[Point, ...], ...]]
+    meets: Optional[tuple[int, ...]]
+
+
+@functools.lru_cache(maxsize=1)
+def pair_table(emb: CycleEmbedding) -> PairTable:
+    """Classify the n(n-1)/2 segment pairs once; validation, subdivision and
+    splitter analysis all read the table kept for the latest drawing."""
     n = emb.n
     corners = emb.corners
     coincident = tuple(
@@ -124,7 +136,7 @@ def validate_general_position(emb: CycleEmbedding) -> DegeneracyReport:
     # Coinciding adjacent corners collapse a segment entirely; nothing
     # further can be measured, so report just the coincidences.
     if any((j - i) % n in (1, n - 1) for i, j in coincident):
-        return DegeneracyReport(coincident_corners=coincident)
+        return PairTable(DegeneracyReport(coincident_corners=coincident), None, None)
 
     segs = emb.segments()
     incidences = []
@@ -140,24 +152,42 @@ def validate_general_position(emb: CycleEmbedding) -> DegeneracyReport:
 
     overlaps = []
     crossings_at: dict[Point, set[int]] = {}
+    crossings: list[list[Point]] = [[] for _ in range(n)]
+    meets = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
             hit = segment_intersection(segs[i], segs[j])
+            if hit.kind is not IntersectionKind.DISJOINT:
+                meets[i] += 1
+                meets[j] += 1
             if hit.kind is IntersectionKind.COLLINEAR_OVERLAP:
                 overlaps.append((i, j))
             elif hit.kind is IntersectionKind.PROPER_CROSSING:
                 crossings_at.setdefault(hit.point, set()).update((i, j))
+                crossings[i].append(hit.point)
+                crossings[j].append(hit.point)
     triples = tuple(
         (p, tuple(sorted(ids)))
         for p, ids in sorted(crossings_at.items(), key=lambda kv: (kv[0].x, kv[0].y))
         if len(ids) >= 3
     )
-    return DegeneracyReport(
+    report = DegeneracyReport(
         triple_points=triples,
         corner_incidences=tuple(incidences),
         collinear_overlaps=tuple(overlaps),
         coincident_corners=coincident,
     )
+    return PairTable(report, tuple(map(tuple, crossings)), tuple(meets))
+
+
+def validate_general_position(emb: CycleEmbedding) -> DegeneracyReport:
+    """Exhaustively scan an embedding for degeneracies.
+
+    General position means: corners pairwise distinct, no corner interior
+    to a non-incident segment, no collinear overlapping segments, and no
+    point where three or more segments cross.
+    """
+    return pair_table(emb).report
 
 
 def perturb(
@@ -326,29 +356,23 @@ def construct_even(
     Connect corner c to corner c + (n/2 - 1) for every c, then swap one of
     the resulting parallel pairs for a crossing pair; place the corners on
     a regular (n+1)-gon with the unused vertex between the two crossing
-    connections. Gap placements are scanned in order (the one above first)
-    and the first whose perturbed, validated embedding reaches the
-    region-count ceiling with the expected connection classes wins.
+    connections, and perturb only if that placement is degenerate. The
+    corners are in convex position, so every gap of construct_even_raw
+    gives the same cyclic order and crossings. ConstructionCheckFailed is
+    raised unless the result has f(n) regions, 2 splitters and n-2 one-off
+    splitters.
     """
-    from .arrangement import build_arrangement, region_count_euler, splitter_analysis
+    from .arrangement import build_arrangement, splitter_analysis
 
-    if n < 4 or n % 2 == 1:
-        raise InvalidN(f"even construction needs even n >= 4, got {n}")
-    target = f_max(n)
-    for gap in [n] + list(range(n)):
-        emb = construct_even_raw(n, gap, scale, digits)
-        if not validate_general_position(emb).is_empty():
-            try:
-                emb = perturb(emb, _default_epsilon(scale), seed)
-            except PerturbationFailed:
-                continue
-        arr = build_arrangement(emb)
-        if region_count_euler(arr) != target:
-            continue
-        report = splitter_analysis(emb)
-        if report.splitter_count == 2 and report.one_off_count == n - 2:
-            return emb
-    raise RuntimeError(f"no gap placement reached {target} regions for n={n}")
+    emb = construct_even_raw(n, scale=scale, digits=digits)
+    if not validate_general_position(emb).is_empty():
+        emb = perturb(emb, _default_epsilon(scale), seed)
+    report = splitter_analysis(emb)
+    got = (build_arrangement(emb).face_count, report.splitter_count, report.one_off_count)
+    want = (f_max(n), 2, n - 2)
+    if got != want:
+        raise ConstructionCheckFailed(f"n={n}: (regions, splitters, one-offs) {got} != {want}")
+    return emb
 
 
 def construct(

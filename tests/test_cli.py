@@ -2,9 +2,11 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from cycleregions import cli, embedding
 from cycleregions.cli import main
 from cycleregions.embedding import (
     CycleEmbedding,
+    PerturbationFailed,
     load_embedding,
     regular_polygon_points,
     save_embedding,
@@ -198,6 +200,36 @@ class TestRender:
         code, out, _ = run(capsys, "render", str(path), "--highlight-splitters")
         assert code == 0
         assert out.count('class="segment splitter"') == 2
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("flag,value", [("--width", "0"), ("--width", "-5"), ("--height", "0")])
+    def test_non_positive_render_size_is_bad_input(self, pentagon_file, capsys, flag, value):
+        code, out, err = run(capsys, "render", pentagon_file, flag, value)
+        assert code == 2
+        assert out == ""
+        assert "bad input: render size must be positive" in err
+
+    def test_perturbation_failure_is_degenerate(self, tmp_path, capsys, monkeypatch):
+        def fail(n, seed=0):
+            raise PerturbationFailed("no general-position embedding within 64 attempts")
+
+        monkeypatch.setattr(cli, "construct", fail)
+        code, _, err = run(capsys, "construct", "--n", "6", "--out", str(tmp_path / "x.txt"))
+        assert code == 4
+        assert "degenerate geometry" in err
+
+    def test_even_post_check_failure_is_verification_failure(self, tmp_path, capsys, monkeypatch):
+        # A convex placement in general position encloses 1 region, not f(n).
+        def convex(n, gap=None, scale=1, digits=12):
+            return CycleEmbedding(n, tuple(regular_polygon_points(n, scale, digits)))
+
+        monkeypatch.setattr(embedding, "construct_even_raw", convex)
+        path = tmp_path / "x.txt"
+        code, _, err = run(capsys, "construct", "--n", "6", "--out", str(path))
+        assert code == 5
+        assert "construction check failed" in err
+        assert not path.exists()
 
 
 def test_unknown_command_is_bad_input(capsys):
