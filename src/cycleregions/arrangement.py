@@ -1,23 +1,23 @@
 """Planar arrangement of a cycle embedding: vertices, edges, and two
 region counters.
 
-Both counters read the drawing's pair table and the subdivision built
-from it; the subdivision is connected since each segment's chain joins
-two corners and neighbouring segments share one. The Euler counter
-evaluates E - V + 1 for the bounded faces. The traversal counter never
-touches that identity: it sorts edge ends around each vertex by exact
-angle and counts the orbits of the face-walk permutation, so the two
-agreeing checks the counting, not the shared pair classification.
+Both counters read the drawing's pair table: each segment's chain of
+crossings, ordered along it, is the subdivision, which is connected since
+each chain joins two corners and neighbouring segments share one. The
+Euler counter evaluates E - V + 1 for the bounded faces. The traversal
+counter never touches that identity: it orders the edge ends around each
+crossing from the sign of the crossing segments' cross product and counts
+the orbits of the face-walk permutation, so the two agreeing checks the
+counting, not the shared pair classification.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
-from .embedding import CycleEmbedding, DegeneracyReport, pair_table
-from .geometry import Point, sort_points_along
+from .embedding import CycleEmbedding, DegeneracyReport, PairTable, pair_table
+from .geometry import Point
 
 
 class DegenerateInput(ValueError):
@@ -75,8 +75,9 @@ class SplitterReport:
         )
 
 
-def _subdivided_graph(emb: CycleEmbedding):
-    """Vertices, adjacency, and per-segment counts of the subdivision.
+def _subdivided_graph(emb: CycleEmbedding) -> tuple[PairTable, list[tuple[int, ...]]]:
+    """The pair table and each segment's chain of vertex ids, from corner i
+    through its crossings to corner i+1; crossing c is vertex n + c.
 
     Raises DegenerateInput unless the embedding is in general position,
     which guarantees every proper crossing involves exactly two segments
@@ -85,27 +86,11 @@ def _subdivided_graph(emb: CycleEmbedding):
     table = pair_table(emb)
     if not table.report.is_empty():
         raise DegenerateInput(table.report)
-    index: dict[Point, int] = {}
-    verts: list[tuple[Point, VertexKind]] = []
-    for p in emb.corners:
-        index[p] = len(verts)
-        verts.append((p, VertexKind.CORNER))
-    crossing_points = sorted(
-        {p for pts in table.crossings for p in pts}, key=lambda p: (p.x, p.y)
-    )
-    for p in crossing_points:
-        index[p] = len(verts)
-        verts.append((p, VertexKind.CROSSING))
-
-    adj: list[set[int]] = [set() for _ in verts]
-    per_segment = []
-    for i, seg in enumerate(emb.segments()):
-        chain = [seg.a] + sort_points_along(seg, table.crossings[i]) + [seg.b]
-        for u, v in zip(chain, chain[1:]):
-            adj[index[u]].add(index[v])
-            adj[index[v]].add(index[u])
-        per_segment.append((len(chain), len(chain) - 1))
-    return verts, adj, per_segment
+    n = emb.n
+    chains = [
+        (i, *(n + c for c in chain), (i + 1) % n) for i, chain in enumerate(table.chains)
+    ]
+    return table, chains
 
 
 def build_arrangement(emb: CycleEmbedding) -> Arrangement:
@@ -114,10 +99,14 @@ def build_arrangement(emb: CycleEmbedding) -> Arrangement:
     face_count is the bounded-region count E - V + 1 of the connected
     plane graph.
     """
-    verts, adj, per_segment = _subdivided_graph(emb)
+    table, chains = _subdivided_graph(emb)
+    verts = tuple((p, VertexKind.CORNER) for p in emb.corners) + tuple(
+        (p, VertexKind.CROSSING) for p in table.points
+    )
+    per_segment = tuple((len(chain), len(chain) - 1) for chain in chains)
     v = len(verts)
     e = sum(edges for _, edges in per_segment)
-    return Arrangement(tuple(verts), v, e, e - v + 1, tuple(per_segment))
+    return Arrangement(verts, v, e, e - v + 1, per_segment)
 
 
 def region_count_euler(arr: Arrangement) -> int:
@@ -126,46 +115,38 @@ def region_count_euler(arr: Arrangement) -> int:
     return arr.edge_count - arr.vertex_count + 1
 
 
-def _ccw_key(base: Point, pts: list[Point]):
-    # Exact angular order around base starting at the positive x axis:
-    # compare half planes first, then the cross product within a half.
-    def cmp(u: int, v: int) -> int:
-        dux = pts[u].x - base.x
-        duy = pts[u].y - base.y
-        dvx = pts[v].x - base.x
-        dvy = pts[v].y - base.y
-        hu = 0 if (duy > 0 or (duy == 0 and dux > 0)) else 1
-        hv = 0 if (dvy > 0 or (dvy == 0 and dvx > 0)) else 1
-        if hu != hv:
-            return -1 if hu < hv else 1
-        c = dux * dvy - duy * dvx
-        if c > 0:
-            return -1
-        if c < 0:
-            return 1
-        return 0
-
-    return functools.cmp_to_key(cmp)
-
-
 def region_count_traversal(emb: CycleEmbedding) -> int:
     """Bounded regions counted by walking faces, independent of the
     E - V + 1 identity.
 
     Each directed edge (u, v) continues to the neighbour preceding u in
-    the exact counterclockwise order around v; orbits of that successor
-    map are the faces of the embedding, one of which is unbounded.
+    the counterclockwise order around v; orbits of that successor map are
+    the faces of the embedding, one of which is unbounded. A corner has
+    two neighbours, so either order is counterclockwise. At a crossing of
+    segments i < j the edge ends point along +u_i, +u_j, -u_i, -u_j in
+    counterclockwise order when cross(u_i, u_j) > 0, and along +u_i, -u_j,
+    -u_i, +u_j otherwise.
     """
-    verts, adj, _ = _subdivided_graph(emb)
-    pts = [p for p, _ in verts]
-    ccw = [
-        sorted(neigh, key=_ccw_key(pts[v], pts)) for v, neigh in enumerate(adj)
-    ]
-    pos = [{u: k for k, u in enumerate(order)} for order in ccw]
+    table, chains = _subdivided_graph(emb)
+    n = emb.n
+    ccw: list[list[int]] = [[] for _ in range(n + len(table.points))]
+    for chain in chains:
+        ccw[chain[0]].append(chain[1])
+        ccw[chain[-1]].append(chain[-2])
+        for back, v, ahead in zip(chain, chain[1:], chain[2:]):
+            ccw[v] += (ahead, back)
+    # Segment i's chain comes first, so each crossing holds
+    # [+u_i, -u_i, +u_j, -u_j] until it is reordered here.
+    for c, sign in enumerate(table.signs):
+        ahead_i, back_i, ahead_j, back_j = ccw[n + c]
+        if sign > 0:
+            ccw[n + c] = [ahead_i, ahead_j, back_i, back_j]
+        else:
+            ccw[n + c] = [ahead_i, back_j, back_i, ahead_j]
     seen: set[tuple[int, int]] = set()
     faces = 0
-    for u in range(len(pts)):
-        for v in adj[u]:
+    for u, neigh in enumerate(ccw):
+        for v in neigh:
             if (u, v) in seen:
                 continue
             faces += 1
@@ -173,8 +154,7 @@ def region_count_traversal(emb: CycleEmbedding) -> int:
             while (cu, cv) not in seen:
                 seen.add((cu, cv))
                 order = ccw[cv]
-                w = order[(pos[cv][cu] - 1) % len(order)]
-                cu, cv = cv, w
+                cu, cv = cv, order[order.index(cu) - 1]
     return faces - 1
 
 
@@ -183,15 +163,13 @@ def splitter_analysis(emb: CycleEmbedding) -> SplitterReport:
     meets (any non-disjoint kind), and classify.
 
     Works on degenerate embeddings except collinear overlaps, where the
-    notion of one intersection per pair breaks down; those raise
-    DegenerateInput. Coincident adjacent corners collapse a segment and
-    raise ValueError.
+    notion of one intersection per pair breaks down, and coincident
+    adjacent corners, which collapse a segment; both raise
+    DegenerateInput.
     """
     table = pair_table(emb)
-    if table.report.collinear_overlaps:
+    if table.meets is None or table.report.collinear_overlaps:
         raise DegenerateInput(table.report)
-    if table.meets is None:
-        raise ValueError("segment endpoints coincide")
     n = emb.n
     rows = []
     for c in table.meets:

@@ -5,7 +5,8 @@ perturbation, and the text file format.
 An embedding is the full description of a drawing: n corners in cycle
 order, with segment i joining corner i to corner (i+1) mod n. Corners are
 exact rational points, so degeneracy detection is a decision, not a
-tolerance.
+tolerance. The pair table scales them to integers once and classifies
+every segment pair in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .geometry import (
     IntersectionKind,
     Point,
     Segment,
-    point_on_segment,
     segment_intersection,
 )
 
@@ -112,64 +112,142 @@ class DegeneracyReport:
 
 
 class PairTable(NamedTuple):
-    """A drawing's DegeneracyReport, each segment's proper crossing points and
-    how many other segments each one meets; crossings and meets are None
-    when adjacent corners coincide, since a collapsed segment has no pairs."""
+    """A drawing's DegeneracyReport, how many other segments each segment
+    meets, and its proper crossings.
+
+    Crossing c is points[c]; crossing ids follow the points' (x, y) order.
+    chains[i] lists the ids of segment i's crossings from corner i toward
+    corner i+1, and signs[c] is the sign of cross(u_i, u_j) for the
+    directions u_i, u_j of the crossing's two segments, i < j. Everything
+    but the report is None when adjacent corners coincide, since a
+    collapsed segment has no pairs.
+    """
 
     report: DegeneracyReport
-    crossings: Optional[tuple[tuple[Point, ...], ...]]
     meets: Optional[tuple[int, ...]]
+    points: Optional[tuple[Point, ...]]
+    chains: Optional[tuple[tuple[int, ...], ...]]
+    signs: Optional[tuple[int, ...]]
+
+    @property
+    def crossings(self) -> Optional[tuple[tuple[Point, ...], ...]]:
+        """Each segment's proper crossing points, in order along it."""
+        if self.chains is None:
+            return None
+        return tuple(tuple(self.points[c] for c in chain) for chain in self.chains)
+
+
+def _between(a: int, v: int, b: int) -> bool:
+    return a <= v <= b or b <= v <= a
 
 
 @functools.lru_cache(maxsize=1)
 def pair_table(emb: CycleEmbedding) -> PairTable:
-    """Classify the n(n-1)/2 segment pairs once; validation, subdivision and
-    splitter analysis all read the table kept for the latest drawing."""
+    """Classify the n(n-1)/2 segment pairs once, in integers; validation,
+    subdivision, the face walk and splitter analysis all read the table
+    kept for the latest drawing.
+
+    The corners are scaled by the lcm of their denominators. That is a
+    similarity map, so every orientation sign, and with it every
+    classification, is that of the exact rational drawing. Pairs decided by
+    strict signs alone (disjoint or properly crossing) never leave integer
+    arithmetic; a pair with a zero orientation (adjacent pairs, touches,
+    overlaps) is classified by segment_intersection.
+    """
     n = emb.n
-    corners = emb.corners
+    scale = math.lcm(*(c.denominator for p in emb.corners for c in (p.x, p.y)))
+    pts = [
+        (p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
+        for p in emb.corners
+    ]
     coincident = tuple(
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if corners[i] == corners[j]
+        (i, j) for i in range(n) for j in range(i + 1, n) if pts[i] == pts[j]
     )
     # Coinciding adjacent corners collapse a segment entirely; nothing
     # further can be measured, so report just the coincidences.
     if any((j - i) % n in (1, n - 1) for i, j in coincident):
-        return PairTable(DegeneracyReport(coincident_corners=coincident), None, None)
+        return PairTable(DegeneracyReport(coincident_corners=coincident), None, None, None, None)
 
-    segs = emb.segments()
+    # side[s][k] = cross(corner s, corner s+1, corner k): its sign tells
+    # which side of segment s's line corner k lies on.
+    side = []
+    for s in range(n):
+        ax, ay = pts[s]
+        bx, by = pts[(s + 1) % n]
+        ux, uy = bx - ax, by - ay
+        side.append([ux * (y - ay) - uy * (x - ax) for x, y in pts])
+
     incidences = []
-    for k in range(n):
-        p = corners[k]
-        for s in segs:
-            if s.cycle_index in (k, (k - 1) % n):
+    for k, p in enumerate(pts):
+        for s in range(n):
+            if side[s][k] or s in (k, (k - 1) % n):
                 continue
-            if p == s.a or p == s.b:
-                continue  # that is a coincident-corner pair, reported above
-            if point_on_segment(p, s):
-                incidences.append((k, s.cycle_index))
+            a, b = pts[s], pts[(s + 1) % n]
+            if (
+                p not in (a, b)  # a coincident-corner pair, reported above
+                and _between(a[0], p[0], b[0])
+                and _between(a[1], p[1], b[1])
+            ):
+                incidences.append((k, s))
 
     overlaps = []
-    crossings_at: dict[Point, set[int]] = {}
-    crossings: list[list[Point]] = [[] for _ in range(n)]
+    found = []  # (X, Y, D, i, j, sign): the crossing (X/D, Y/D) of segments i < j
     meets = [0] * n
     for i in range(n):
+        si = side[i]
+        i1 = (i + 1) % n
         for j in range(i + 1, n):
-            hit = segment_intersection(segs[i], segs[j])
-            if hit.kind is not IntersectionKind.DISJOINT:
+            d1 = si[j]
+            d2 = si[(j + 1) % n]
+            if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0):
+                continue
+            d3 = side[j][i]
+            d4 = side[j][i1]
+            if (d3 > 0 and d4 > 0) or (d3 < 0 and d4 < 0):
+                continue
+            if d1 and d2 and d3 and d4:
+                # Strict sign opposition on both sides: an interior crossing
+                # at parameter d3/(d3-d4) along segment i.
+                t, q = (d3, d3 - d4) if d3 > d4 else (-d3, d4 - d3)
+                ax, ay = pts[i]
+                bx, by = pts[i1]
+                x = ax * q + t * (bx - ax)
+                y = ay * q + t * (by - ay)
+                g = math.gcd(x, y, q)
+                # d2 - d1 = cross(u_i, u_j), and d1, d2 have opposite signs.
+                found.append((x // g, y // g, q // g, i, j, 1 if d2 > 0 else -1))
                 meets[i] += 1
                 meets[j] += 1
-            if hit.kind is IntersectionKind.COLLINEAR_OVERLAP:
+                continue
+            kind = segment_intersection(emb.segment(i), emb.segment(j)).kind
+            if kind is not IntersectionKind.DISJOINT:
+                meets[i] += 1
+                meets[j] += 1
+            if kind is IntersectionKind.COLLINEAR_OVERLAP:
                 overlaps.append((i, j))
-            elif hit.kind is IntersectionKind.PROPER_CROSSING:
-                crossings_at.setdefault(hit.point, set()).update((i, j))
-                crossings[i].append(hit.point)
-                crossings[j].append(hit.point)
+
+    # Two distinct rationals whose denominators are at most dmax, the
+    # largest D, differ by at least 1/dmax^2, so scaling by dmax^2 and
+    # flooring keeps their order and their ties: an exact integer key for
+    # the (x, y) order.
+    key_scale = max((f[2] for f in found), default=1) ** 2
+    found.sort(key=lambda f: (f[0] * key_scale // f[2], f[1] * key_scale // f[2]))
+    points = []
+    chains: list[list[int]] = [[] for _ in range(n)]
+    crossings_at: dict[tuple[int, int, int], tuple[Point, set[int]]] = {}
+    for c, (x, y, d, i, j, _) in enumerate(found):
+        p = Point(Fraction(x, d * scale), Fraction(y, d * scale))
+        points.append(p)
+        chains[i].append(c)
+        chains[j].append(c)
+        crossings_at.setdefault((x, y, d), (p, set()))[1].update((i, j))
+    # On one segment the (x, y) order is the order along it, or its reverse
+    # when the segment runs toward smaller (x, y).
+    for i, chain in enumerate(chains):
+        if pts[(i + 1) % n] < pts[i]:
+            chain.reverse()
     triples = tuple(
-        (p, tuple(sorted(ids)))
-        for p, ids in sorted(crossings_at.items(), key=lambda kv: (kv[0].x, kv[0].y))
-        if len(ids) >= 3
+        (p, tuple(sorted(ids))) for p, ids in crossings_at.values() if len(ids) >= 3
     )
     report = DegeneracyReport(
         triple_points=triples,
@@ -177,7 +255,13 @@ def pair_table(emb: CycleEmbedding) -> PairTable:
         collinear_overlaps=tuple(overlaps),
         coincident_corners=coincident,
     )
-    return PairTable(report, tuple(map(tuple, crossings)), tuple(meets))
+    return PairTable(
+        report,
+        tuple(meets),
+        tuple(points),
+        tuple(map(tuple, chains)),
+        tuple(f[5] for f in found),
+    )
 
 
 def validate_general_position(emb: CycleEmbedding) -> DegeneracyReport:

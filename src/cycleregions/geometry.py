@@ -1,9 +1,14 @@
-"""Exact rational plane primitives shared by every higher layer.
+"""Exact rational plane primitives: the public point, segment and
+predicate API.
 
-Coordinates are `fractions.Fraction` throughout, so orientation and
-intersection predicates are decided exactly. No floating point enters any
-comparison; this matters because the even-cycle constructions are
-deliberately near-degenerate and epsilon tests would misclassify them.
+Coordinates are `fractions.Fraction`, so orientation and intersection
+predicates are decided exactly. No floating point enters any comparison;
+this matters because the even-cycle constructions are deliberately
+near-degenerate and epsilon tests would misclassify them. The pair table in
+`embedding` decides a drawing's disjoint and properly crossing pairs in
+integers and hands every pair with a zero orientation to
+segment_intersection here, which stays the one definition of touch and
+overlap.
 """
 
 from __future__ import annotations

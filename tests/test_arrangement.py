@@ -177,3 +177,16 @@ def test_counts_match_size_predictions():
         assert arr.vertex_count == predicted_vertices(n)
         assert arr.edge_count == predicted_edges(n)
         assert arr.face_count == f_max(n)
+
+
+@pytest.mark.parametrize("n", (100, 101))
+def test_certificate_at_one_hundred(n):
+    emb = construct(n)
+    arr = build_arrangement(emb)
+    assert (arr.vertex_count, arr.edge_count) == (predicted_vertices(n), predicted_edges(n))
+    assert region_count_euler(arr) == region_count_traversal(emb) == f_max(n)
+    report = splitter_analysis(emb)
+    if n % 2 == 0:
+        assert (report.splitter_count, report.one_off_count) == (2, n - 2)
+    else:
+        assert report.splitter_count == n

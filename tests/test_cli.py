@@ -231,6 +231,18 @@ class TestErrorContract:
         assert "construction check failed" in err
         assert not path.exists()
 
+    def test_collapsed_segment_exits_alike_in_every_command(self, tmp_path, capsys):
+        path = tmp_path / "collapsed.txt"
+        path.write_text("n 3\ncorner 0/1 0/1\ncorner 0/1 0/1\ncorner 1/1 1/1\n")
+        code, _, err = run(capsys, "count", str(path))
+        assert code == 4
+        assert "degenerate geometry" in err
+        for extra in ((), ("--highlight-splitters",)):
+            svg = tmp_path / "collapsed.svg"
+            code, _, _ = run(capsys, "render", str(path), "--out", str(svg), *extra)
+            assert code == 0
+            assert 'class="segment splitter"' not in svg.read_text()
+
 
 def test_unknown_command_is_bad_input(capsys):
     assert main(["frobnicate"]) == 2

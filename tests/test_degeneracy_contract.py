@@ -63,7 +63,7 @@ SPLITTERS = {
     "corner_incidence": [4, 2, 3, 3, 2],
     "collinear_overlap": DegenerateInput,
     "coincident_corners": DegenerateInput,
-    "adjacent_coincident_corners": ValueError,
+    "adjacent_coincident_corners": DegenerateInput,
     "fold_back": DegenerateInput,
 }
 
@@ -73,7 +73,7 @@ SVG_SPLITTER_LINES = {
     "corner_incidence": 1,
     "collinear_overlap": 0,
     "coincident_corners": 0,
-    "adjacent_coincident_corners": ValueError,
+    "adjacent_coincident_corners": 0,
     "fold_back": 0,
 }
 

@@ -1,26 +1,131 @@
 """Checks that do not trust the pair table every consumer of a drawing reads.
 
-The general-position check, the subdivision and splitter analysis all read
-one classification of each drawing's segment pairs, so a fault there would
-fool both region counters alike. These tests reach the same numbers without
-that table: a geometry-free crossing count for the constructions, and a
-pair-by-pair rebuild from segment_intersection for random drawings.
+The general-position check, the subdivision, the face walk and splitter
+analysis all read one integer classification of each drawing's segment
+pairs, so a fault there would fool both region counters alike. These tests
+reach the same numbers without that table: a geometry-free crossing count
+for the constructions, a pair-by-pair rebuild from the Fraction
+segment_intersection for random drawings, and a face walk that orders
+each vertex's neighbours by exact angle.
 """
 
+import functools
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cycleregions.arrangement import build_arrangement
+from cycleregions.arrangement import build_arrangement, region_count_traversal
 from cycleregions.embedding import (
     CycleEmbedding,
+    DegeneracyReport,
     construct,
     pair_table,
     regular_polygon_points,
+    validate_general_position,
 )
 from cycleregions.formulas import f_max
-from cycleregions.geometry import IntersectionKind, Point, segment_intersection
+from cycleregions.geometry import (
+    IntersectionKind,
+    Point,
+    point_on_segment,
+    segment_intersection,
+    sort_points_along,
+)
 from cycleregions.search import _crossing_count
+
+
+def _ccw_key(base, pts):
+    # Exact angular order of pts[u] around base starting at the positive x
+    # axis: compare half planes first, then the cross product within a half.
+    def cmp(u, v):
+        dux, duy = pts[u].x - base.x, pts[u].y - base.y
+        dvx, dvy = pts[v].x - base.x, pts[v].y - base.y
+        hu = 0 if (duy > 0 or (duy == 0 and dux > 0)) else 1
+        hv = 0 if (dvy > 0 or (dvy == 0 and dvx > 0)) else 1
+        if hu != hv:
+            return -1 if hu < hv else 1
+        c = dux * dvy - duy * dvx
+        return -1 if c > 0 else 1 if c < 0 else 0
+
+    return functools.cmp_to_key(cmp)
+
+
+def reference_region_count(emb):
+    """Bounded faces of a general-position drawing, subdivided pair by pair
+    with segment_intersection and sort_points_along and walked with each
+    vertex's neighbours sorted by exact angle."""
+    segs = emb.segments()
+    on = [[] for _ in segs]
+    for i in range(emb.n):
+        for j in range(i + 1, emb.n):
+            hit = segment_intersection(segs[i], segs[j])
+            if hit.kind is IntersectionKind.PROPER_CROSSING:
+                on[i].append(hit.point)
+                on[j].append(hit.point)
+    index = {}
+    adj = []
+    for seg, points in zip(segs, on):
+        chain = [seg.a] + sort_points_along(seg, points) + [seg.b]
+        for p in chain:
+            if p not in index:
+                index[p] = len(adj)
+                adj.append(set())
+        for u, v in zip(chain, chain[1:]):
+            adj[index[u]].add(index[v])
+            adj[index[v]].add(index[u])
+    pts = list(index)
+    ccw = [sorted(neigh, key=_ccw_key(pts[v], pts)) for v, neigh in enumerate(adj)]
+    seen = set()
+    faces = 0
+    for u, neigh in enumerate(ccw):
+        for v in neigh:
+            if (u, v) in seen:
+                continue
+            faces += 1
+            cu, cv = u, v
+            while (cu, cv) not in seen:
+                seen.add((cu, cv))
+                order = ccw[cv]
+                cu, cv = cv, order[order.index(cu) - 1]
+    return faces - 1
+
+
+def reference_report(emb):
+    """The DegeneracyReport rebuilt pair by pair from the Fraction
+    predicates, in the pair table's order."""
+    n = emb.n
+    corners = emb.corners
+    coincident = tuple(
+        (i, j) for i in range(n) for j in range(i + 1, n) if corners[i] == corners[j]
+    )
+    if any((j - i) % n in (1, n - 1) for i, j in coincident):
+        return DegeneracyReport(coincident_corners=coincident)
+    segs = emb.segments()
+    incidences = tuple(
+        (k, s.cycle_index)
+        for k, p in enumerate(corners)
+        for s in segs
+        if s.cycle_index not in (k, (k - 1) % n)
+        and p not in (s.a, s.b)
+        and point_on_segment(p, s)
+    )
+    overlaps = []
+    at = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            hit = segment_intersection(segs[i], segs[j])
+            if hit.kind is IntersectionKind.COLLINEAR_OVERLAP:
+                overlaps.append((i, j))
+            elif hit.kind is IntersectionKind.PROPER_CROSSING:
+                at.setdefault(hit.point, set()).update((i, j))
+    triples = tuple(
+        (p, tuple(sorted(ids)))
+        for p, ids in sorted(at.items(), key=lambda kv: (kv[0].x, kv[0].y))
+        if len(ids) >= 3
+    )
+    return DegeneracyReport(triples, incidences, tuple(overlaps), coincident)
 
 
 @pytest.mark.parametrize("n", range(3, 31))
@@ -37,6 +142,29 @@ def test_construction_matches_geometry_free_count(n):
     assert 1 + _crossing_count(order) == build_arrangement(emb).face_count == f_max(n)
 
 
+@pytest.mark.parametrize("n", range(3, 31))
+def test_face_walk_matches_angle_sorted_walk_on_constructions(n):
+    emb = construct(n)
+    assert region_count_traversal(emb) == reference_region_count(emb) == f_max(n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(3, 9).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.integers(0, 1000), st.integers(0, 1000)),
+            min_size=n,
+            max_size=n,
+            unique=True,
+        )
+    )
+)
+def test_face_walk_matches_angle_sorted_walk_on_random_drawings(xys):
+    emb = CycleEmbedding(len(xys), tuple(Point(x, y) for x, y in xys))
+    assume(validate_general_position(emb).is_empty())
+    assert region_count_traversal(emb) == reference_region_count(emb)
+
+
 grid_point = st.builds(Point, st.integers(0, 4), st.integers(0, 4))
 
 
@@ -46,13 +174,32 @@ def grid_embeddings(draw):
     return CycleEmbedding(n, tuple(draw(st.lists(grid_point, min_size=n, max_size=n))))
 
 
+# Mixed denominators exercise the rescale by their lcm; integer corners up
+# to 10**6 exercise large products.
+rational_point = st.one_of(
+    st.builds(
+        Point,
+        st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+        st.builds(Fraction, st.integers(-12, 12), st.integers(1, 12)),
+    ),
+    st.builds(Point, st.integers(-(10**6), 10**6), st.integers(-(10**6), 10**6)),
+)
+
+
+@st.composite
+def rational_embeddings(draw):
+    n = draw(st.integers(3, 7))
+    return CycleEmbedding(n, tuple(draw(st.lists(rational_point, min_size=n, max_size=n))))
+
+
 def by_position(points):
     return sorted(points, key=lambda p: (p.x, p.y))
 
 
 @settings(max_examples=300, deadline=None)
-@given(grid_embeddings())
+@given(st.one_of(grid_embeddings(), rational_embeddings()))
 def test_table_matches_pairwise_classification(emb):
+    assert validate_general_position(emb) == reference_report(emb)
     table = pair_table(emb)
     n = emb.n
     if any(emb.corners[i] == emb.corners[(i + 1) % n] for i in range(n)):
