@@ -4,11 +4,12 @@ region counters.
 Both counters read the drawing's pair table: each segment's chain of
 crossings, ordered along it, is the subdivision, which is connected since
 each chain joins two corners and neighbouring segments share one. The
-Euler counter evaluates E - V + 1 for the bounded faces. The traversal
-counter never touches that identity: it orders the edge ends around each
-crossing from the sign of the crossing segments' cross product and counts
-the orbits of the face-walk permutation, so the two agreeing checks the
-counting, not the shared pair classification.
+Euler counter reads E - V + 1, which build_arrangement evaluates from the
+chain lengths. The traversal counter never touches that identity: it
+orders the edge ends around each crossing from the sign of the crossing
+segments' cross product and counts the orbits of the face-walk
+permutation, so the two agreeing checks the counting, not the shared pair
+classification.
 """
 
 from __future__ import annotations
@@ -75,22 +76,17 @@ class SplitterReport:
         )
 
 
-def _subdivided_graph(emb: CycleEmbedding) -> tuple[PairTable, list[tuple[int, ...]]]:
-    """The pair table and each segment's chain of vertex ids, from corner i
-    through its crossings to corner i+1; crossing c is vertex n + c.
+def _general_position_table(emb: CycleEmbedding) -> PairTable:
+    """The pair table of a general-position embedding.
 
-    Raises DegenerateInput unless the embedding is in general position,
-    which guarantees every proper crossing involves exactly two segments
-    and lies strictly inside both.
+    Raises DegenerateInput otherwise; general position guarantees every
+    proper crossing involves exactly two segments and lies strictly inside
+    both.
     """
     table = pair_table(emb)
     if not table.report.is_empty():
         raise DegenerateInput(table.report)
-    n = emb.n
-    chains = [
-        (i, *(n + c for c in chain), (i + 1) % n) for i, chain in enumerate(table.chains)
-    ]
-    return table, chains
+    return table
 
 
 def build_arrangement(emb: CycleEmbedding) -> Arrangement:
@@ -99,11 +95,11 @@ def build_arrangement(emb: CycleEmbedding) -> Arrangement:
     face_count is the bounded-region count E - V + 1 of the connected
     plane graph.
     """
-    table, chains = _subdivided_graph(emb)
+    table = _general_position_table(emb)
     verts = tuple((p, VertexKind.CORNER) for p in emb.corners) + tuple(
         (p, VertexKind.CROSSING) for p in table.points
     )
-    per_segment = tuple((len(chain), len(chain) - 1) for chain in chains)
+    per_segment = tuple((len(chain) + 2, len(chain) + 1) for chain in table.chains)
     v = len(verts)
     e = sum(edges for _, edges in per_segment)
     return Arrangement(verts, v, e, e - v + 1, per_segment)
@@ -111,8 +107,8 @@ def build_arrangement(emb: CycleEmbedding) -> Arrangement:
 
 def region_count_euler(arr: Arrangement) -> int:
     """Bounded regions of an arrangement via the connected plane-graph
-    count E - V + 1."""
-    return arr.edge_count - arr.vertex_count + 1
+    count E - V + 1, which build_arrangement evaluates."""
+    return arr.face_count
 
 
 def region_count_traversal(emb: CycleEmbedding) -> int:
@@ -127,8 +123,13 @@ def region_count_traversal(emb: CycleEmbedding) -> int:
     counterclockwise order when cross(u_i, u_j) > 0, and along +u_i, -u_j,
     -u_i, +u_j otherwise.
     """
-    table, chains = _subdivided_graph(emb)
+    table = _general_position_table(emb)
     n = emb.n
+    # Segment i's vertex ids run from corner i through its crossings to
+    # corner i+1; crossing c is vertex n + c.
+    chains = [
+        (i, *(n + c for c in chain), (i + 1) % n) for i, chain in enumerate(table.chains)
+    ]
     ccw: list[list[int]] = [[] for _ in range(n + len(table.points))]
     for chain in chains:
         ccw[chain[0]].append(chain[1])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .arrangement import (
     DegenerateInput,
@@ -133,16 +133,7 @@ def verify_rows(n_min: int, n_max: int, seed: int) -> list[VerifyRow]:
     return rows
 
 
-_VERIFY_COLUMNS = (
-    "n",
-    "parity",
-    "f_formula",
-    "regions_euler",
-    "regions_traversal",
-    "splitters",
-    "one_off_splitters",
-    "match",
-)
+_VERIFY_COLUMNS = tuple(f.name for f in fields(VerifyRow))
 
 
 def cmd_verify(args) -> int:
@@ -206,6 +197,14 @@ def cmd_search(args) -> int:
 def cmd_render(args) -> int:
     if args.width <= 0 or args.height <= 0:
         raise ValueError(f"render size must be positive, got {args.width}x{args.height}")
+    # Colors land inside SVG attribute values unescaped.
+    for flag, color in (
+        ("--stroke", args.stroke),
+        ("--splitter-stroke", args.splitter_stroke),
+        ("--fill", args.fill),
+    ):
+        if any(ch in color for ch in "\"'<>&"):
+            raise ValueError(f"{flag} must not contain any of \" ' < > &, got {color!r}")
     emb = load_embedding(args.path)
     opts = RenderOptions(
         width=args.width,

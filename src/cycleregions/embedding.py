@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-from .formulas import InvalidN, f_max
+from .formulas import InvalidN, max_crossings
 from .geometry import (
     IntersectionKind,
     Point,
@@ -30,9 +30,8 @@ Scale = Union[int, Fraction]
 
 DEFAULT_DIGITS = 12
 PERTURB_RETRIES = 64
-# Default perturbation size relative to the circumradius.
-PERTURB_EPSILON_NUM = 1
-PERTURB_EPSILON_DEN = 10_000
+# Perturbation size for the constructions, whose circumradius is 1.
+PERTURB_EPSILON = Fraction(1, 10_000)
 # Denominator bound for the random offsets drawn inside perturb().
 _OFFSET_GRID = 10**6
 
@@ -46,7 +45,7 @@ class PerturbationFailed(RuntimeError):
 
 
 class ConstructionCheckFailed(RuntimeError):
-    """The even construction missed f(n) regions or its splitter classes."""
+    """The even construction missed max_crossings(n) or its splitter classes."""
 
 
 @dataclass(frozen=True)
@@ -336,16 +335,7 @@ def regular_polygon_points(k: int, scale: Scale = 1, digits: int = DEFAULT_DIGIT
     return pts
 
 
-def _default_epsilon(scale: Scale) -> Fraction:
-    return Fraction(scale) * Fraction(PERTURB_EPSILON_NUM, PERTURB_EPSILON_DEN)
-
-
-def construct_odd(
-    n: int,
-    seed: int = 0,
-    scale: Scale = 1,
-    digits: int = DEFAULT_DIGITS,
-) -> CycleEmbedding:
+def construct_odd(n: int, seed: int = 0) -> CycleEmbedding:
     """Maximal embedding for odd n: corners on a regular n-gon, with cycle
     position i visiting polygon vertex i*(n-1)/2 mod n.
 
@@ -355,12 +345,12 @@ def construct_odd(
     """
     if n < 3 or n % 2 == 0:
         raise InvalidN(f"odd construction needs odd n >= 3, got {n}")
-    poly = regular_polygon_points(n, scale, digits)
+    poly = regular_polygon_points(n)
     step = (n - 1) // 2
     corners = tuple(poly[(i * step) % n] for i in range(n))
     emb = CycleEmbedding(n, corners)
     if not validate_general_position(emb).is_empty():
-        emb = perturb(emb, _default_epsilon(scale), seed)
+        emb = perturb(emb, PERTURB_EPSILON, seed)
     return emb
 
 
@@ -401,12 +391,7 @@ def _even_cycle_order(n: int) -> list[int]:
     return order
 
 
-def construct_even_raw(
-    n: int,
-    gap: Optional[int] = None,
-    scale: Scale = 1,
-    digits: int = DEFAULT_DIGITS,
-) -> CycleEmbedding:
+def construct_even_raw(n: int, gap: Optional[int] = None) -> CycleEmbedding:
     """Even-n placement before any validation or perturbation.
 
     Corner labels occupy n of the n+1 vertices of a regular (n+1)-gon in
@@ -422,19 +407,14 @@ def construct_even_raw(
     if not 0 <= gap <= n:
         raise ValueError(f"gap must be in [0, {n}], got {gap}")
     order = _even_cycle_order(n)
-    poly = regular_polygon_points(n + 1, scale, digits)
+    poly = regular_polygon_points(n + 1)
     corners = tuple(
         poly[label if label < gap else label + 1] for label in order
     )
     return CycleEmbedding(n, corners)
 
 
-def construct_even(
-    n: int,
-    seed: int = 0,
-    scale: Scale = 1,
-    digits: int = DEFAULT_DIGITS,
-) -> CycleEmbedding:
+def construct_even(n: int, seed: int = 0) -> CycleEmbedding:
     """Maximal embedding for even n.
 
     Connect corner c to corner c + (n/2 - 1) for every c, then swap one of
@@ -443,34 +423,27 @@ def construct_even(
     connections, and perturb only if that placement is degenerate. The
     corners are in convex position, so every gap of construct_even_raw
     gives the same cyclic order and crossings. ConstructionCheckFailed is
-    raised unless the result has f(n) regions, 2 splitters and n-2 one-off
-    splitters.
+    raised unless the result's pair table has max_crossings(n) crossings
+    (so f(n) regions), 2 splitters and n-2 one-off splitters.
     """
-    from .arrangement import build_arrangement, splitter_analysis
-
-    emb = construct_even_raw(n, scale=scale, digits=digits)
+    emb = construct_even_raw(n)
     if not validate_general_position(emb).is_empty():
-        emb = perturb(emb, _default_epsilon(scale), seed)
-    report = splitter_analysis(emb)
-    got = (build_arrangement(emb).face_count, report.splitter_count, report.one_off_count)
-    want = (f_max(n), 2, n - 2)
+        emb = perturb(emb, PERTURB_EPSILON, seed)
+    table = pair_table(emb)
+    got = (len(table.points), table.meets.count(n - 1), table.meets.count(n - 2))
+    want = (max_crossings(n), 2, n - 2)
     if got != want:
-        raise ConstructionCheckFailed(f"n={n}: (regions, splitters, one-offs) {got} != {want}")
+        raise ConstructionCheckFailed(f"n={n}: (crossings, splitters, one-offs) {got} != {want}")
     return emb
 
 
-def construct(
-    n: int,
-    seed: int = 0,
-    scale: Scale = 1,
-    digits: int = DEFAULT_DIGITS,
-) -> CycleEmbedding:
+def construct(n: int, seed: int = 0) -> CycleEmbedding:
     """Maximal embedding for any n >= 3, dispatching on parity."""
     if n < 3:
         raise InvalidN(f"n must be at least 3, got {n}")
     if n % 2 == 0:
-        return construct_even(n, seed, scale, digits)
-    return construct_odd(n, seed, scale, digits)
+        return construct_even(n, seed)
+    return construct_odd(n, seed)
 
 
 def format_embedding(emb: CycleEmbedding) -> str:

@@ -15,6 +15,7 @@ from .arrangement import DegenerateInput, SegmentClass, splitter_analysis
 from .embedding import CycleEmbedding
 
 MARGIN = Fraction(5, 100)  # of the viewport, on every side
+STROKE_WIDTH = 2.0
 
 
 @dataclass(frozen=True)
@@ -27,7 +28,6 @@ class RenderOptions:
     stroke: str = "#1f3a5f"
     splitter_stroke: str = "#c0392b"
     fill: str = "#f2d9a0"
-    stroke_width: float = 2.0
 
 
 def _fmt(v: float) -> str:
@@ -99,7 +99,7 @@ def to_svg(emb: CycleEmbedding, options: Optional[RenderOptions] = None) -> str:
         a = emb.corners[i]
         b = emb.corners[(i + 1) % emb.n]
         color = opts.splitter_stroke if splitter_flags[i] else opts.stroke
-        wide = opts.stroke_width * 1.75 if splitter_flags[i] else opts.stroke_width
+        wide = STROKE_WIDTH * 1.75 if splitter_flags[i] else STROKE_WIDTH
         cls = "segment splitter" if splitter_flags[i] else "segment"
         parts.append(
             f'<line class="{cls}" x1="{_fmt(sx(a.x))}" y1="{_fmt(sy(a.y))}" '
@@ -109,7 +109,7 @@ def to_svg(emb: CycleEmbedding, options: Optional[RenderOptions] = None) -> str:
     for i, p in enumerate(emb.corners):
         parts.append(
             f'<circle class="corner" cx="{_fmt(sx(p.x))}" cy="{_fmt(sy(p.y))}" '
-            f'r="{_fmt(opts.stroke_width * 1.6)}" fill="{opts.stroke}"/>'
+            f'r="{_fmt(STROKE_WIDTH * 1.6)}" fill="{opts.stroke}"/>'
         )
         if opts.label_corners:
             parts.append(

@@ -73,29 +73,18 @@ class OracleResult:
     evaluated_count: int
 
 
-def _chords(order: Sequence[int]) -> list[tuple[int, int]]:
-    n = len(order)
-    out = []
-    for i in range(n):
-        a = order[i]
-        b = order[(i + 1) % n]
-        out.append((a, b) if a < b else (b, a))
-    return out
-
-
 def _crossing_count(order: Sequence[int]) -> int:
     # Labels are positions on a circle; two connections cross exactly when
     # their endpoint pairs interleave. Connections sharing an endpoint are
-    # the adjacent ones and never count.
-    chords = _chords(order)
-    n = len(chords)
+    # the neighbours i-1 and i+1 of connection i and never count, so each
+    # i is paired only with i+2 .. n-1, stopping before n-1 when i = 0.
+    n = len(order)
+    chords = [
+        (a, b) if a < b else (b, a) for a, b in zip(order, (*order[1:], order[0]))
+    ]
     count = 0
-    for i in range(n):
-        lo1, hi1 = chords[i]
-        for j in range(i + 1, n):
-            lo2, hi2 = chords[j]
-            if lo1 == lo2 or lo1 == hi2 or hi1 == lo2 or hi1 == hi2:
-                continue
+    for i, (lo1, hi1) in enumerate(chords):
+        for lo2, hi2 in chords[i + 2 : n - 1 if i == 0 else n]:
             if (lo1 < lo2 < hi1) != (lo1 < hi2 < hi1):
                 count += 1
     return count

@@ -243,6 +243,20 @@ class TestErrorContract:
             assert code == 0
             assert 'class="segment splitter"' not in svg.read_text()
 
+    @pytest.mark.parametrize("flag", ["--stroke", "--splitter-stroke", "--fill"])
+    def test_color_with_markup_characters_is_bad_input(self, tmp_path, capsys, flag):
+        # Colors are written into SVG attributes unescaped. The check runs
+        # before the file is read, so a missing file still exits 2, not 3.
+        svg = tmp_path / "bad.svg"
+        for color in ('red" onload="alert(1)', "red'", "<x>", "a>b", "&amp;"):
+            code, out, err = run(
+                capsys, "render", str(tmp_path / "missing.txt"), flag, color, "--out", str(svg)
+            )
+            assert code == 2
+            assert out == ""
+            assert f"bad input: {flag} must not contain" in err
+            assert not svg.exists()
+
 
 def test_unknown_command_is_bad_input(capsys):
     assert main(["frobnicate"]) == 2

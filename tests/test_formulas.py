@@ -7,6 +7,7 @@ from cycleregions.formulas import (
     Parity,
     ParityCase,
     f_max,
+    max_crossings,
     predicted_edges,
     predicted_vertices,
 )
@@ -17,6 +18,10 @@ def test_known_anchors():
     assert f_max(4) == 2
     assert f_max(5) == 6
     assert f_max(10) == 32
+
+
+def test_max_crossings_anchors():
+    assert [max_crossings(n) for n in (3, 4, 5, 10)] == [0, 1, 5, 31]
 
 
 def test_matches_exact_rational_closed_forms():
@@ -55,7 +60,7 @@ def test_predicted_sizes_of_small_cases():
 
 @pytest.mark.parametrize("bad", [2, 1, 0, -5])
 def test_rejects_small_n(bad):
-    for fn in (f_max, predicted_vertices, predicted_edges):
+    for fn in (f_max, predicted_vertices, predicted_edges, max_crossings):
         with pytest.raises(InvalidN):
             fn(bad)
 
