@@ -138,8 +138,7 @@ _VERIFY_COLUMNS = tuple(f.name for f in fields(VerifyRow))
 
 def cmd_verify(args) -> int:
     if args.n_min < 3 or args.n_max < args.n_min:
-        print(f"bad range [{args.n_min}, {args.n_max}]", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise ValueError(f"bad range [{args.n_min}, {args.n_max}]")
     rows = verify_rows(args.n_min, args.n_max, args.seed)
     if args.format == "tsv":
         for row in rows:
@@ -197,14 +196,16 @@ def cmd_search(args) -> int:
 def cmd_render(args) -> int:
     if args.width <= 0 or args.height <= 0:
         raise ValueError(f"render size must be positive, got {args.width}x{args.height}")
-    # Colors land inside SVG attribute values unescaped.
+    # Colors land inside SVG attribute values unescaped, and the SVG is ASCII.
     for flag, color in (
         ("--stroke", args.stroke),
         ("--splitter-stroke", args.splitter_stroke),
         ("--fill", args.fill),
     ):
-        if any(ch in color for ch in "\"'<>&"):
-            raise ValueError(f"{flag} must not contain any of \" ' < > &, got {color!r}")
+        if not color.isascii() or any(ch in color for ch in "\"'<>&"):
+            raise ValueError(
+                f"{flag} must not contain non-ASCII characters or any of \" ' < > &, got {color!r}"
+            )
     emb = load_embedding(args.path)
     opts = RenderOptions(
         width=args.width,

@@ -6,7 +6,7 @@ An embedding is the full description of a drawing: n corners in cycle
 order, with segment i joining corner i to corner (i+1) mod n. Corners are
 exact rational points, so degeneracy detection is a decision, not a
 tolerance. The pair table scales them to integers once and classifies
-every segment pair in integer arithmetic.
+every segment pair, touches and overlaps included, in integer arithmetic.
 """
 
 from __future__ import annotations
@@ -19,12 +19,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 from .formulas import InvalidN, max_crossings
-from .geometry import (
-    IntersectionKind,
-    Point,
-    Segment,
-    segment_intersection,
-)
+from .geometry import Point, Segment
 
 Scale = Union[int, Fraction]
 
@@ -148,10 +143,10 @@ def pair_table(emb: CycleEmbedding) -> PairTable:
 
     The corners are scaled by the lcm of their denominators. That is a
     similarity map, so every orientation sign, and with it every
-    classification, is that of the exact rational drawing. Pairs decided by
-    strict signs alone (disjoint or properly crossing) never leave integer
-    arithmetic; a pair with a zero orientation (adjacent pairs, touches,
-    overlaps) is classified by segment_intersection.
+    classification, is that of the exact rational drawing. Every pair,
+    touches and collinear overlaps included, is decided from the table of
+    orientations and, for collinear pairs, a projection on one segment's
+    direction; no pair leaves integer arithmetic.
     """
     n = emb.n
     scale = math.lcm(*(c.denominator for p in emb.corners for c in (p.x, p.y)))
@@ -195,35 +190,40 @@ def pair_table(emb: CycleEmbedding) -> PairTable:
     for i in range(n):
         si = side[i]
         i1 = (i + 1) % n
+        ax, ay = pts[i]
+        ux, uy = pts[i1][0] - ax, pts[i1][1] - ay
         for j in range(i + 1, n):
             d1 = si[j]
             d2 = si[(j + 1) % n]
             if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0):
                 continue
-            d3 = side[j][i]
-            d4 = side[j][i1]
-            if (d3 > 0 and d4 > 0) or (d3 < 0 and d4 < 0):
-                continue
-            if d1 and d2 and d3 and d4:
-                # Strict sign opposition on both sides: an interior crossing
-                # at parameter d3/(d3-d4) along segment i.
-                t, q = (d3, d3 - d4) if d3 > d4 else (-d3, d4 - d3)
-                ax, ay = pts[i]
-                bx, by = pts[i1]
-                x = ax * q + t * (bx - ax)
-                y = ay * q + t * (by - ay)
-                g = math.gcd(x, y, q)
-                # d2 - d1 = cross(u_i, u_j), and d1, d2 have opposite signs.
-                found.append((x // g, y // g, q // g, i, j, 1 if d2 > 0 else -1))
-                meets[i] += 1
-                meets[j] += 1
-                continue
-            kind = segment_intersection(emb.segment(i), emb.segment(j)).kind
-            if kind is not IntersectionKind.DISJOINT:
-                meets[i] += 1
-                meets[j] += 1
-            if kind is IntersectionKind.COLLINEAR_OVERLAP:
-                overlaps.append((i, j))
+            if d1 or d2:
+                d3 = side[j][i]
+                d4 = side[j][i1]
+                if (d3 > 0 and d4 > 0) or (d3 < 0 and d4 < 0):
+                    continue
+                # The lines differ and neither segment lies strictly on one side
+                # of the other's line, so they meet: inside both (at d3/(d3-d4)
+                # along segment i) when all four signs are strict, else in a touch.
+                if d1 and d2 and d3 and d4:
+                    t, q = (d3, d3 - d4) if d3 > d4 else (-d3, d4 - d3)
+                    x = ax * q + t * ux
+                    y = ay * q + t * uy
+                    g = math.gcd(x, y, q)
+                    # d2 - d1 = cross(u_i, u_j), and d1, d2 have opposite signs.
+                    found.append((x // g, y // g, q // g, i, j, 1 if d2 > 0 else -1))
+            else:
+                # Segment j lies on segment i's line, whose span along u_i is
+                # [0, u_i.u_i]. A gap is disjoint, one point a touch, more an overlap.
+                tj, tk = ((x - ax) * ux + (y - ay) * uy for x, y in (pts[j], pts[(j + 1) % n]))
+                lo = max(0, min(tj, tk))
+                hi = min(ux * ux + uy * uy, max(tj, tk))
+                if lo > hi:
+                    continue
+                if lo < hi:
+                    overlaps.append((i, j))
+            meets[i] += 1
+            meets[j] += 1
 
     # Two distinct rationals whose denominators are at most dmax, the
     # largest D, differ by at least 1/dmax^2, so scaling by dmax^2 and

@@ -5,10 +5,9 @@ Coordinates are `fractions.Fraction`, so orientation and intersection
 predicates are decided exactly. No floating point enters any comparison;
 this matters because the even-cycle constructions are deliberately
 near-degenerate and epsilon tests would misclassify them. The pair table in
-`embedding` decides a drawing's disjoint and properly crossing pairs in
-integers and hands every pair with a zero orientation to
-segment_intersection here, which stays the one definition of touch and
-overlap.
+`embedding` classifies a drawing's pairs on its own, in integers, and calls
+none of these predicates; they remain the public API and the independent
+reference the tests check that table against.
 """
 
 from __future__ import annotations

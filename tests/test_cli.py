@@ -140,6 +140,7 @@ class TestVerify:
     def test_bad_range(self, capsys):
         code, _, err = run(capsys, "verify", "--n-min", "9", "--n-max", "5")
         assert code == 2
+        assert "bad input" in err
 
 
 class TestOracle:
@@ -248,7 +249,7 @@ class TestErrorContract:
         # Colors are written into SVG attributes unescaped. The check runs
         # before the file is read, so a missing file still exits 2, not 3.
         svg = tmp_path / "bad.svg"
-        for color in ('red" onload="alert(1)', "red'", "<x>", "a>b", "&amp;"):
+        for color in ('red" onload="alert(1)', "red'", "<x>", "a>b", "&amp;", "rød"):
             code, out, err = run(
                 capsys, "render", str(tmp_path / "missing.txt"), flag, color, "--out", str(svg)
             )

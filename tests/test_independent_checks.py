@@ -5,11 +5,12 @@ analysis all read one integer classification of each drawing's segment
 pairs, so a fault there would fool both region counters alike. These tests
 reach the same numbers without that table: a geometry-free crossing count
 for the constructions, a pair-by-pair rebuild from the Fraction
-segment_intersection for random drawings, and a face walk that orders
-each vertex's neighbours by exact angle.
+segment_intersection for random drawings and for every 4-cycle on a 3x3
+grid, and a face walk that orders each vertex's neighbours by exact angle.
 """
 
 import functools
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -219,3 +220,42 @@ def test_table_matches_pairwise_classification(emb):
                 crossings[i].append(hit.point)
     assert list(map(by_position, table.crossings)) == list(map(by_position, crossings))
     assert list(table.meets) == meets
+
+
+def reference_pair_counts(emb):
+    """How many other segments each segment meets, the overlapping pairs
+    and the number of properly crossing pairs, rebuilt pair by pair from
+    segment_intersection."""
+    segs = emb.segments()
+    meets = [0] * emb.n
+    overlaps = []
+    crossings = 0
+    for i, j in itertools.combinations(range(emb.n), 2):
+        kind = segment_intersection(segs[i], segs[j]).kind
+        if kind is not IntersectionKind.DISJOINT:
+            meets[i] += 1
+            meets[j] += 1
+        if kind is IntersectionKind.COLLINEAR_OVERLAP:
+            overlaps.append((i, j))
+        crossings += kind is IntersectionKind.PROPER_CROSSING
+    return meets, tuple(overlaps), crossings
+
+
+def test_table_matches_pairwise_classification_on_every_grid_4_cycle():
+    # Every 4-cycle with corners in {0,1,2}^2 and no collapsed segment. So
+    # small a grid is dense in touches, T-junctions and collinear pairs that
+    # overlap, abut or leave a gap, which random drawings seldom hit.
+    grid = [Point(x, y) for x in range(3) for y in range(3)]
+    drawings = 0
+    mismatches = []
+    for corners in itertools.product(grid, repeat=4):
+        if any(corners[k] == corners[k - 1] for k in range(4)):
+            continue
+        drawings += 1
+        emb = CycleEmbedding(4, corners)
+        table = pair_table(emb)
+        got = (list(table.meets), table.report.collinear_overlaps, len(table.points))
+        if got != reference_pair_counts(emb):
+            mismatches.append(corners)
+    assert drawings == 4104
+    assert not mismatches, f"{len(mismatches)} drawings differ, first {mismatches[0]}"
