@@ -1,9 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 bad input, 3 I/O failure, 4 degenerate geometry
-or failed perturbation, 5 verification failure or failed even-construction
-check. Every randomized command prints its seed so any run can be
-reproduced from its own log.
+or failed perturbation, 5 verification failure, failed even-construction
+check, or even connections that do not form one cycle. Every randomized
+command prints its seed so any run can be reproduced from its own log.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .arrangement import (
 )
 from .embedding import (
     ConstructionCheckFailed,
+    ConstructionNotACycle,
     CycleEmbedding,
     PerturbationFailed,
     construct,
@@ -254,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("human", "tsv"), default="human")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("oracle", help="exhaustive convex-position maximum for small n")
+    p = sub.add_parser("oracle", help="exact convex-position maximum for small n, by branch and bound")
     p.add_argument("--n", type=int, required=True, help=f"3 <= n <= {ORACLE_MAX_N}")
     p.add_argument("--format", choices=("human", "tsv"), default="human")
     p.set_defaults(func=cmd_oracle)
@@ -301,7 +302,7 @@ def main(argv=None) -> int:
     except PerturbationFailed as exc:
         print(f"degenerate geometry: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except ConstructionCheckFailed as exc:
+    except (ConstructionCheckFailed, ConstructionNotACycle) as exc:
         print(f"construction check failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     except (InvalidN, NTooLarge, ValueError) as exc:

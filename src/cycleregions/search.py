@@ -1,18 +1,20 @@
-"""Independent checks on the region-count ceiling: an exhaustive
+"""Independent checks on the region-count ceiling: an exact
 convex-position oracle and randomized geometric probing.
 
 For corners in convex position the region count is fully combinatorial
-(1 + number of interleaving connection pairs), so small n can be settled
-by brute force over cycle orders; random placements then probe the
-non-convex territory the closed-form ceiling also covers.
+(1 + number of interleaving connection pairs), so small n is settled
+exactly by a branch and bound over cycle orders, pruned with the
+side-switch bound behind the Furry-Kleitman crossing maximum; random
+placements then probe the non-convex territory the closed-form ceiling
+also covers.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Sequence
 
 from .arrangement import (
@@ -21,17 +23,25 @@ from .arrangement import (
     region_count_euler,
     splitter_analysis,
 )
-from .embedding import CycleEmbedding, construct_even, perturb, validate_general_position
+from .embedding import (
+    CycleEmbedding,
+    _even_cycle_order,
+    construct_even,
+    perturb,
+    validate_general_position,
+)
 from .formulas import InvalidN, f_max
 from .geometry import Point
 
-ORACLE_MAX_N = 11  # (n-1)!/2 cycle orders; 11 keeps that below two million
+# n = 12, the slowest accepted n, takes about a second (odd n prunes far
+# better); n = 14 takes about ten times as long.
+ORACLE_MAX_N = 13
 
 COORD_RANGE = 10**6  # random placements draw integer grid coordinates here
 
 
 class NTooLarge(ValueError):
-    """Exhaustive oracle refused: the cycle-order space is too big."""
+    """Convex oracle refused: n is above ORACLE_MAX_N."""
 
 
 @dataclass(frozen=True)
@@ -70,7 +80,9 @@ class OracleResult:
     n: int
     max_regions: int
     witness: CyclicPermutation
-    evaluated_count: int
+    evaluated_count: int  # cycle orders covered, pruned ones included
+    nodes_visited: int  # prefixes the branch and bound entered, leaves included
+    nodes_pruned: int  # prefixes whose subtree the bound skipped
 
 
 def _crossing_count(order: Sequence[int]) -> int:
@@ -96,27 +108,100 @@ def crossing_count_convex(perm: CyclicPermutation) -> int:
     return _crossing_count(perm.order)
 
 
+def _construction_order(n: int) -> list[int]:
+    """The circle positions that `construct(n)` visits in cycle order.
+
+    Odd n steps (n-1)/2 around a regular n-gon; even n uses n of the n+1
+    vertices of a regular (n+1)-gon in label order. Both orders reach
+    `max_crossings(n)` on a circle."""
+    if n % 2:
+        return [(i * ((n - 1) // 2)) % n for i in range(n)]
+    return _even_cycle_order(n)
+
+
+def _chord_cap(n: int, a: int, b: int) -> int:
+    # Crossings a chord between circle positions a and b can have in any
+    # cycle. The rest of the cycle is a path through the other n-2 labels,
+    # `inside` of them on one side of the chord and `outside` on the
+    # other, and each crossing is a switch of side. A sequence switches at
+    # most 2*min(inside, outside) times, and 2*inside - 1 times when the
+    # two are equal.
+    inside = abs(a - b) - 1
+    outside = n - 2 - inside
+    return 2 * min(inside, outside) - (inside == outside)
+
+
+def _bound(n: int, crossings: int, cap_sum: int, u: int) -> int:
+    """Most crossings any completion of a prefix can reach.
+
+    The prefix's chords have `crossings` among themselves and caps that
+    sum to `cap_sum`; `u` chords are still to place, the closing one
+    included. Each of those crosses at most n-3 others. A crossing between
+    a placed and an unplaced chord uses up one unit of the placed chord's
+    slack (cap minus crossings so far, summing to cap_sum - 2*crossings),
+    and the unplaced chords cross each other at most u(u-1)/2 times."""
+    return crossings + min(u * (n - 3), cap_sum - 2 * crossings + u * (u - 1) // 2)
+
+
 def oracle_max_regions_convex(n: int) -> OracleResult:
-    """Exhaust all (n-1)!/2 cycle orders in convex position and report the
-    best region count 1 + max crossings, with its first (and therefore
-    lexicographically smallest) witness."""
+    """Exact maximum over all (n-1)!/2 cycle orders in convex position:
+    the best region count 1 + max crossings, with its lexicographically
+    smallest witness.
+
+    A depth-first branch and bound extends the order one label at a time
+    in lexicographic order, counting only the new chord's crossings with
+    the placed ones, and skips a subtree whose `_bound` cannot beat the
+    incumbent. The incumbent starts one below the crossings of
+    `construct(n)`'s own order, a real leaf, so a witness always exists,
+    and only a strict improvement replaces it. `evaluated_count` counts
+    the orders covered, pruned ones included, and is always (n-1)!/2."""
     if n < 3:
         raise InvalidN(f"n must be at least 3, got {n}")
     if n > ORACLE_MAX_N:
-        raise NTooLarge(f"n={n} exceeds the exhaustive bound {ORACLE_MAX_N}")
-    best = -1
+        raise NTooLarge(f"n={n} exceeds the oracle's limit {ORACLE_MAX_N}")
+    best = _crossing_count(_construction_order(n)) - 1
     witness: tuple[int, ...] = ()
-    evaluated = 0
-    for rest in permutations(range(1, n)):
-        if rest[0] > rest[-1]:
-            continue  # reversal already visited
-        order = (0,) + rest
-        evaluated += 1
-        c = _crossing_count(order)
-        if c > best:
-            best = c
-            witness = order
-    return OracleResult(n, best + 1, CyclicPermutation(witness), evaluated)
+    evaluated = visited = pruned = 0
+
+    def new_crossings(path: list[int], a: int, b: int) -> int:
+        # Chord (a, b) crosses path edge (y, z) when y and z lie on
+        # opposite sides of it; no label of the path is a or b.
+        lo, hi = (a, b) if a < b else (b, a)
+        sides = [lo < y < hi for y in path]
+        return sum(s != t for s, t in zip(sides, sides[1:]))
+
+    def extend(order: list[int], free: list[int], crossings: int, cap_sum: int) -> None:
+        # `order` holds the placed labels (at least 0 and order[1] once
+        # past the root), `free` the others in increasing order.
+        nonlocal best, witness, evaluated, visited, pruned
+        visited += 1
+        last = order[-1]
+        u = len(free)  # chords to place after x's, the closing one included
+        for i, x in enumerate(free):
+            rest = free[:i] + free[i + 1 :]
+            first = order[1] if len(order) > 1 else x
+            if rest and rest[-1] < first:
+                continue  # every completion ends below order[1]: a reversal
+            c = crossings + new_crossings(order[:-1], last, x)
+            if not rest:
+                visited += 1
+                evaluated += 1
+                c += new_crossings(order[1:], x, 0)
+                if c > best:
+                    best = c
+                    witness = (*order, x)
+                continue
+            cap = cap_sum + _chord_cap(n, last, x)
+            if _bound(n, c, cap, u) <= best:
+                pruned += 1
+                evaluated += sum(y > first for y in rest) * math.factorial(len(rest) - 1)
+                continue
+            extend([*order, x], rest, c, cap)
+
+    extend([0], list(range(1, n)), 0, 0)
+    return OracleResult(
+        n, best + 1, CyclicPermutation(witness), evaluated, visited, pruned
+    )
 
 
 def _random_distinct_points(rng: random.Random, n: int) -> list[Point]:

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -13,16 +14,43 @@ from cycleregions.embedding import (
     regular_polygon_points,
     validate_general_position,
 )
-from cycleregions.formulas import InvalidN, f_max
+from cycleregions.formulas import InvalidN, f_max, max_crossings
 from cycleregions.search import (
+    ORACLE_MAX_N,
     CyclicPermutation,
     NTooLarge,
+    _bound,
+    _chord_cap,
+    _construction_order,
     _crossing_count,
     crossing_count_convex,
     oracle_max_regions_convex,
     random_search,
     splitter_bound_check,
 )
+
+
+def _canonical_orders(n):
+    """Every cycle order starting at 0 that is not the reversal of an
+    earlier one, in lexicographic order."""
+    for rest in permutations(range(1, n)):
+        if rest[0] < rest[-1]:
+            yield (0,) + rest
+
+
+def _reference_oracle(n):
+    """Brute force over all (n-1)!/2 orders: (max regions, the first
+    witness, orders evaluated)."""
+    best = -1
+    witness = ()
+    evaluated = 0
+    for order in _canonical_orders(n):
+        evaluated += 1
+        c = _crossing_count(order)
+        if c > best:
+            best = c
+            witness = order
+    return best + 1, witness, evaluated
 
 
 def realize_on_circle(order, digits=6):
@@ -140,9 +168,52 @@ class TestOracle:
 
     def test_bounds(self):
         with pytest.raises(NTooLarge):
-            oracle_max_regions_convex(12)
+            oracle_max_regions_convex(14)
         with pytest.raises(InvalidN):
             oracle_max_regions_convex(2)
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    def test_matches_brute_force(self, n):
+        result = oracle_max_regions_convex(n)
+        assert (
+            result.max_regions,
+            result.witness.order,
+            result.evaluated_count,
+        ) == _reference_oracle(n)
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_bound_is_admissible(self, n):
+        # Best completion of every proper prefix of length >= 2 that has a
+        # canonical completion: a superset of the prefixes the search bounds.
+        best = {}
+        for order in _canonical_orders(n):
+            c = _crossing_count(order)
+            for length in range(2, n):
+                prefix = order[:length]
+                best[prefix] = max(best.get(prefix, -1), c)
+        for prefix, completion in best.items():
+            chords = [tuple(sorted(pair)) for pair in zip(prefix, prefix[1:])]
+            crossings = sum(
+                (lo < lo2 < hi) != (lo < hi2 < hi)
+                for i, (lo, hi) in enumerate(chords)
+                for lo2, hi2 in chords[i + 2 :]
+            )
+            cap_sum = sum(_chord_cap(n, lo, hi) for lo, hi in chords)
+            u = n - len(chords)
+            assert _bound(n, crossings, cap_sum, u) >= completion, prefix
+
+    @pytest.mark.parametrize("n", range(3, ORACLE_MAX_N + 1))
+    def test_covers_every_order_up_to_the_limit(self, n):
+        result = oracle_max_regions_convex(n)
+        assert result.max_regions == f_max(n)
+        assert result.evaluated_count == math.factorial(n - 1) // 2
+        assert result.nodes_visited + result.nodes_pruned > 0
+
+    def test_construction_order_reaches_the_maximum(self):
+        for n in range(3, 201):
+            order = _construction_order(n)
+            assert sorted(order) == list(range(n))
+            assert _crossing_count(order) == max_crossings(n)
 
 
 class TestRandomSearch:
