@@ -22,7 +22,6 @@ from .arrangement import (
 from .embedding import (
     ConstructionCheckFailed,
     ConstructionNotACycle,
-    CycleEmbedding,
     PerturbationFailed,
     construct,
     load_embedding,

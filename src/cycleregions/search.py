@@ -2,8 +2,8 @@
 convex-position oracle and randomized geometric probing.
 
 For corners in convex position the region count is fully combinatorial
-(1 + number of interleaving connection pairs), so small n is settled
-exactly by a branch and bound over cycle orders, pruned with the
+(1 + number of interleaving connection pairs), so n up to 19 is
+settled exactly by a branch and bound over cycle orders, pruned with the
 side-switch bound behind the Furry-Kleitman crossing maximum; random
 placements then probe the non-convex territory the closed-form ceiling
 also covers.
@@ -11,6 +11,7 @@ also covers.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -33,15 +34,16 @@ from .embedding import (
 from .formulas import InvalidN, f_max
 from .geometry import Point
 
-# n = 12, the slowest accepted n, takes about a second (odd n prunes far
-# better); n = 14 takes about ten times as long.
-ORACLE_MAX_N = 13
+# n = 18, the slowest accepted n, takes about 2.5 s (odd n prunes far
+# better); n = 20 takes about six times as long.
+ORACLE_MAX_N = 19
 
 COORD_RANGE = 10**6  # random placements draw integer grid coordinates here
 
 
 class NTooLarge(ValueError):
-    """Convex oracle refused: n is above ORACLE_MAX_N."""
+    """Convex oracle refused: n is above ORACLE_MAX_N, past which the
+    exact search takes more than a few seconds."""
 
 
 @dataclass(frozen=True)
@@ -138,9 +140,35 @@ def _bound(n: int, crossings: int, cap_sum: int, u: int) -> int:
     sum to `cap_sum`; `u` chords are still to place, the closing one
     included. Each of those crosses at most n-3 others. A crossing between
     a placed and an unplaced chord uses up one unit of the placed chord's
-    slack (cap minus crossings so far, summing to cap_sum - 2*crossings),
-    and the unplaced chords cross each other at most u(u-1)/2 times."""
-    return crossings + min(u * (n - 3), cap_sum - 2 * crossings + u * (u - 1) // 2)
+    slack (cap minus crossings so far, summing to cap_sum - 2*crossings).
+    The unplaced chords form a path, whose u-1 consecutive pairs share an
+    endpoint, so they cross each other at most (u-1)(u-2)/2 times."""
+    return crossings + min(
+        u * (n - 3), cap_sum - 2 * crossings + (u - 1) * (u - 2) // 2
+    )
+
+
+def _chord_table(n: int) -> tuple[list[list[int]], list[int], list[int]]:
+    """Every chord between circle positions 0..n-1 as an integer id.
+
+    Returns `ids` with `ids[a][b] == ids[b][a]` the id of chord {a, b},
+    `cross[id]`, the bitmask of the chord ids that interleave with it and
+    share no endpoint, and `cap[id]`, its `_chord_cap`."""
+    ids = [[-1] * n for _ in range(n)]
+    chords = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            ids[a][b] = ids[b][a] = len(chords)
+            chords.append((a, b))
+    cross = [0] * len(chords)
+    for k, (a, b) in enumerate(chords):
+        # {c, d} interleaves with {a, b}, a < b, when exactly one of c, d
+        # lies strictly between a and b; neither may equal a or b.
+        for c in range(a + 1, b):
+            for d in (*range(b + 1, n), *range(a)):
+                cross[k] |= 1 << ids[c][d]
+    cap = [_chord_cap(n, a, b) for a, b in chords]
+    return ids, cross, cap
 
 
 def oracle_max_regions_convex(n: int) -> OracleResult:
@@ -149,56 +177,61 @@ def oracle_max_regions_convex(n: int) -> OracleResult:
     smallest witness.
 
     A depth-first branch and bound extends the order one label at a time
-    in lexicographic order, counting only the new chord's crossings with
-    the placed ones, and skips a subtree whose `_bound` cannot beat the
-    incumbent. The incumbent starts one below the crossings of
-    `construct(n)`'s own order, a real leaf, so a witness always exists,
-    and only a strict improvement replaces it. `evaluated_count` counts
-    the orders covered, pruned ones included, and is always (n-1)!/2."""
+    in lexicographic order and skips a subtree whose `_bound` cannot beat
+    the incumbent. The placed chords travel down as a bitmask, so a new
+    chord's crossings are its `_chord_table` row masked by them. The
+    incumbent starts one below the crossings of `construct(n)`'s own
+    order, a real leaf, so a witness always exists, and only a strict
+    improvement replaces it. `evaluated_count` counts the orders covered,
+    pruned ones included, and is always (n-1)!/2."""
     if n < 3:
         raise InvalidN(f"n must be at least 3, got {n}")
     if n > ORACLE_MAX_N:
-        raise NTooLarge(f"n={n} exceeds the oracle's limit {ORACLE_MAX_N}")
+        raise NTooLarge(
+            f"n={n} exceeds the oracle's limit {ORACLE_MAX_N}; "
+            "larger n take too long to search exactly"
+        )
+    ids, cross, caps = _chord_table(n)
     best = _crossing_count(_construction_order(n)) - 1
     witness: tuple[int, ...] = ()
     evaluated = visited = pruned = 0
 
-    def new_crossings(path: list[int], a: int, b: int) -> int:
-        # Chord (a, b) crosses path edge (y, z) when y and z lie on
-        # opposite sides of it; no label of the path is a or b.
-        lo, hi = (a, b) if a < b else (b, a)
-        sides = [lo < y < hi for y in path]
-        return sum(s != t for s, t in zip(sides, sides[1:]))
-
-    def extend(order: list[int], free: list[int], crossings: int, cap_sum: int) -> None:
+    def extend(
+        order: list[int], free: list[int], crossings: int, cap_sum: int, placed: int
+    ) -> None:
         # `order` holds the placed labels (at least 0 and order[1] once
-        # past the root), `free` the others in increasing order.
+        # past the root), `free` the others in increasing order, and the
+        # bits of `placed` the ids of the chords between them.
         nonlocal best, witness, evaluated, visited, pruned
         visited += 1
-        last = order[-1]
+        row = ids[order[-1]]
         u = len(free)  # chords to place after x's, the closing one included
         for i, x in enumerate(free):
             rest = free[:i] + free[i + 1 :]
             first = order[1] if len(order) > 1 else x
             if rest and rest[-1] < first:
                 continue  # every completion ends below order[1]: a reversal
-            c = crossings + new_crossings(order[:-1], last, x)
+            k = row[x]
+            c = crossings + (cross[k] & placed).bit_count()
             if not rest:
                 visited += 1
                 evaluated += 1
-                c += new_crossings(order[1:], x, 0)
+                c += (cross[ids[x][0]] & (placed | 1 << k)).bit_count()
                 if c > best:
                     best = c
                     witness = (*order, x)
                 continue
-            cap = cap_sum + _chord_cap(n, last, x)
+            cap = cap_sum + caps[k]
             if _bound(n, c, cap, u) <= best:
                 pruned += 1
-                evaluated += sum(y > first for y in rest) * math.factorial(len(rest) - 1)
+                # Each label of the increasing `rest` above `first` may end a
+                # canonical completion, the others in any of (r-1)! orders.
+                above = len(rest) - bisect.bisect(rest, first)
+                evaluated += above * math.factorial(len(rest) - 1)
                 continue
-            extend([*order, x], rest, c, cap)
+            extend([*order, x], rest, c, cap, placed | 1 << k)
 
-    extend([0], list(range(1, n)), 0, 0)
+    extend([0], list(range(1, n)), 0, 0, 0)
     return OracleResult(
         n, best + 1, CyclicPermutation(witness), evaluated, visited, pruned
     )

@@ -161,7 +161,7 @@ class TestOracle:
         assert fields[-1] == "PASS"
 
     def test_too_large(self, capsys):
-        code, _, err = run(capsys, "oracle", "--n", "14")
+        code, _, err = run(capsys, "oracle", "--n", "20")
         assert code == 2
         assert "bad input" in err
 

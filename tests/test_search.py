@@ -21,6 +21,7 @@ from cycleregions.search import (
     NTooLarge,
     _bound,
     _chord_cap,
+    _chord_table,
     _construction_order,
     _crossing_count,
     crossing_count_convex,
@@ -125,6 +126,30 @@ class TestCrossingCount:
         assert region_count_euler(build_arrangement(emb)) == _crossing_count(seq) + 1
 
 
+class TestChordTable:
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_bits_are_the_interleaving_pairs(self, n):
+        ids, cross, _ = _chord_table(n)
+        chords = {ids[a][b]: (a, b) for a in range(n) for b in range(a + 1, n)}
+        assert sorted(chords) == list(range(n * (n - 1) // 2))
+        for k, (a, b) in chords.items():
+            for j, (c, d) in chords.items():
+                interleave = a < c < b < d or c < a < d < b
+                assert bool(cross[k] >> j & 1) == interleave, (a, b, c, d)
+
+    def test_masked_rows_sum_to_the_crossing_count(self):
+        rng = random.Random(4021)
+        for n in range(3, 41):
+            ids, cross, _ = _chord_table(n)
+            for _ in range(5):
+                order = (0, *rng.sample(range(1, n), n - 1))
+                placed = total = 0
+                for a, b in zip(order, (*order[1:], order[0])):
+                    total += (cross[ids[a][b]] & placed).bit_count()
+                    placed |= 1 << ids[a][b]
+                assert total == _crossing_count(order)
+
+
 class TestOracle:
     @pytest.mark.parametrize(
         "n,regions,classes",
@@ -168,7 +193,7 @@ class TestOracle:
 
     def test_bounds(self):
         with pytest.raises(NTooLarge):
-            oracle_max_regions_convex(14)
+            oracle_max_regions_convex(20)
         with pytest.raises(InvalidN):
             oracle_max_regions_convex(2)
 
@@ -201,6 +226,19 @@ class TestOracle:
             cap_sum = sum(_chord_cap(n, lo, hi) for lo, hi in chords)
             u = n - len(chords)
             assert _bound(n, crossings, cap_sum, u) >= completion, prefix
+
+    def test_path_bound_prunes_where_the_pairwise_one_cannot(self):
+        # Prefix (0, 1) at n = 8: chord {0, 1} has cap 0 and no crossings,
+        # and 7 chords remain. Counting u(u-1)/2 crossings among those
+        # allows 21, above the maximum of 17; as a path they allow 15,
+        # which the incumbent of 16 already prunes.
+        n, crossings, cap_sum, u = 8, 0, _chord_cap(8, 0, 1), 7
+        completion = max(_crossing_count(o) for o in _canonical_orders(n) if o[1] == 1)
+        pairwise = crossings + min(
+            u * (n - 3), cap_sum - 2 * crossings + u * (u - 1) // 2
+        )
+        path = _bound(n, crossings, cap_sum, u)
+        assert completion <= path < max_crossings(n) < pairwise
 
     @pytest.mark.parametrize("n", range(3, ORACLE_MAX_N + 1))
     def test_covers_every_order_up_to_the_limit(self, n):
