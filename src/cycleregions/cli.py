@@ -1,9 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 bad input, 3 I/O failure, 4 degenerate geometry
-or failed perturbation, 5 verification failure, failed even-construction
-check, or even connections that do not form one cycle. Every randomized
-command prints its seed so any run can be reproduced from its own log.
+or failed perturbation, 5 verification failure, a construction that misses
+its own post-check, or even connections that do not form one cycle. Every
+randomized command prints its seed so any run can be reproduced from its
+own log.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .embedding import (
     load_embedding,
     save_embedding,
 )
-from .formulas import InvalidN, ParityCase, f_max
+from .formulas import InvalidN, ParityCase, construction_splitters, f_max
 from .render import RenderOptions, to_svg
 from .search import NTooLarge, ORACLE_MAX_N, oracle_max_regions_convex, random_search
 
@@ -114,10 +115,7 @@ def verify_rows(n_min: int, n_max: int, seed: int) -> list[VerifyRow]:
         euler = region_count_euler(build_arrangement(emb))
         traversal = region_count_traversal(emb)
         report = splitter_analysis(emb)
-        if n % 2 == 0:
-            splitters_ok = report.splitter_count == 2 and report.one_off_count == n - 2
-        else:
-            splitters_ok = report.splitter_count == n
+        splitters_ok = (report.splitter_count, report.one_off_count) == construction_splitters(n)
         rows.append(
             VerifyRow(
                 n=n,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-from .formulas import InvalidN, max_crossings
+from .formulas import InvalidN, construction_splitters, max_crossings
 from .geometry import Point, Segment
 
 Scale = Union[int, Fraction]
@@ -40,7 +40,7 @@ class PerturbationFailed(RuntimeError):
 
 
 class ConstructionCheckFailed(RuntimeError):
-    """The even construction missed max_crossings(n) or its splitter classes."""
+    """A construction missed max_crossings(n) or its splitter classes."""
 
 
 @dataclass(frozen=True)
@@ -335,25 +335,6 @@ def regular_polygon_points(k: int, scale: Scale = 1, digits: int = DEFAULT_DIGIT
     return pts
 
 
-def construct_odd(n: int, seed: int = 0) -> CycleEmbedding:
-    """Maximal embedding for odd n: corners on a regular n-gon, with cycle
-    position i visiting polygon vertex i*(n-1)/2 mod n.
-
-    Every connection then crosses or touches all n-1 others, which is what
-    forces the region count to its ceiling. The step (n-1)/2 is coprime to
-    odd n, so the visit order is a bijection.
-    """
-    if n < 3 or n % 2 == 0:
-        raise InvalidN(f"odd construction needs odd n >= 3, got {n}")
-    poly = regular_polygon_points(n)
-    step = (n - 1) // 2
-    corners = tuple(poly[(i * step) % n] for i in range(n))
-    emb = CycleEmbedding(n, corners)
-    if not validate_general_position(emb).is_empty():
-        emb = perturb(emb, PERTURB_EPSILON, seed)
-    return emb
-
-
 def _even_connection_pairs(n: int) -> list[tuple[int, int]]:
     # Step-(n/2-1) connections give n/2 parallel pairs on a regular
     # placement; replacing one parallel pair with the crossing pair
@@ -391,59 +372,69 @@ def _even_cycle_order(n: int) -> list[int]:
     return order
 
 
-def construct_even_raw(n: int, gap: Optional[int] = None) -> CycleEmbedding:
-    """Even-n placement before any validation or perturbation.
+def construction_order(n: int) -> list[int]:
+    """The polygon vertices `construct(n)` visits, in cycle order.
 
-    Corner labels occupy n of the n+1 vertices of a regular (n+1)-gon in
-    label order; `gap` in [0, n] says between which consecutive labels the
-    unused vertex sits (label c lands on vertex c for c < gap, else c+1).
-    The default gap=n leaves the unused vertex between labels n-1 and 0,
-    which is between the endpoints of the two crossing connections.
+    Odd n steps (n-1)/2 around a regular n-gon; the step is coprime to n,
+    so every connection crosses or touches all n-1 others. Even n connects
+    corner c to corner c + (n/2 - 1) and swaps one of the resulting
+    parallel pairs for a crossing pair (`_even_cycle_order`), on n of the
+    n+1 vertices of a regular (n+1)-gon. Both orders reach
+    `max_crossings(n)` on a circle."""
+    if n % 2:
+        return [(i * ((n - 1) // 2)) % n for i in range(n)]
+    return _even_cycle_order(n)
+
+
+def _place(n: int) -> CycleEmbedding:
+    # Even n leaves vertex n of the (n+1)-gon unused, between labels n-1
+    # and 0, which is between the endpoints of the two crossing connections.
+    poly = regular_polygon_points(n if n % 2 else n + 1)
+    return CycleEmbedding(n, tuple(poly[v] for v in construction_order(n)))
+
+
+def construct(n: int, seed: int = 0) -> CycleEmbedding:
+    """Maximal embedding for any n >= 3: `construction_order(n)` on a
+    regular polygon, perturbed only if that placement is degenerate.
+
+    The corners are in convex position, so the region count is 1 plus the
+    order's crossings. ConstructionCheckFailed is raised unless the
+    result's pair table has max_crossings(n) crossings (so f(n) regions)
+    and the splitter classes `construction_splitters(n)`.
     """
-    if n < 4 or n % 2 == 1:
-        raise InvalidN(f"even construction needs even n >= 4, got {n}")
-    if gap is None:
-        gap = n
-    if not 0 <= gap <= n:
-        raise ValueError(f"gap must be in [0, {n}], got {gap}")
-    order = _even_cycle_order(n)
-    poly = regular_polygon_points(n + 1)
-    corners = tuple(
-        poly[label if label < gap else label + 1] for label in order
-    )
-    return CycleEmbedding(n, corners)
-
-
-def construct_even(n: int, seed: int = 0) -> CycleEmbedding:
-    """Maximal embedding for even n.
-
-    Connect corner c to corner c + (n/2 - 1) for every c, then swap one of
-    the resulting parallel pairs for a crossing pair; place the corners on
-    a regular (n+1)-gon with the unused vertex between the two crossing
-    connections, and perturb only if that placement is degenerate. The
-    corners are in convex position, so every gap of construct_even_raw
-    gives the same cyclic order and crossings. ConstructionCheckFailed is
-    raised unless the result's pair table has max_crossings(n) crossings
-    (so f(n) regions), 2 splitters and n-2 one-off splitters.
-    """
-    emb = construct_even_raw(n)
+    if n < 3:
+        raise InvalidN(f"n must be at least 3, got {n}")
+    emb = _place(n)
     if not validate_general_position(emb).is_empty():
         emb = perturb(emb, PERTURB_EPSILON, seed)
     table = pair_table(emb)
     got = (len(table.points), table.meets.count(n - 1), table.meets.count(n - 2))
-    want = (max_crossings(n), 2, n - 2)
+    want = (max_crossings(n), *construction_splitters(n))
     if got != want:
         raise ConstructionCheckFailed(f"n={n}: (crossings, splitters, one-offs) {got} != {want}")
     return emb
 
 
-def construct(n: int, seed: int = 0) -> CycleEmbedding:
-    """Maximal embedding for any n >= 3, dispatching on parity."""
-    if n < 3:
-        raise InvalidN(f"n must be at least 3, got {n}")
-    if n % 2 == 0:
-        return construct_even(n, seed)
-    return construct_odd(n, seed)
+def construct_odd(n: int, seed: int = 0) -> CycleEmbedding:
+    """construct(n, seed) for odd n >= 3."""
+    if n < 3 or n % 2 == 0:
+        raise InvalidN(f"odd construction needs odd n >= 3, got {n}")
+    return construct(n, seed)
+
+
+def construct_even(n: int, seed: int = 0) -> CycleEmbedding:
+    """construct(n, seed) for even n >= 4."""
+    if n < 4 or n % 2 == 1:
+        raise InvalidN(f"even construction needs even n >= 4, got {n}")
+    return construct(n, seed)
+
+
+def construct_even_raw(n: int) -> CycleEmbedding:
+    """The even-n placement of construct(n), before any validation or
+    perturbation."""
+    if n < 4 or n % 2 == 1:
+        raise InvalidN(f"even construction needs even n >= 4, got {n}")
+    return _place(n)
 
 
 def format_embedding(emb: CycleEmbedding) -> str:

@@ -1,5 +1,5 @@
 """Closed forms for the maximal region count and the arrangement sizes
-realised by the extremal constructions.
+and splitter classes realised by the extremal constructions.
 
 All values are exact integers computed with integer arithmetic only.
 """
@@ -58,6 +58,17 @@ def max_crossings(n: int) -> int:
     if n % 2 == 0:
         return n * (n - 4) // 2 + 1
     return n * (n - 3) // 2
+
+
+def construction_splitters(n: int) -> tuple[int, int]:
+    """(splitters, one-off splitters) of the maximal construction: a
+    splitter meets all n-1 other segments, a one-off splitter n-2. Every
+    segment of the odd construction is a splitter; the even one has 2
+    splitters and n-2 one-off splitters."""
+    _check_n(n)
+    if n % 2 == 0:
+        return 2, n - 2
+    return n, 0
 
 
 def f_max(n: int) -> int:

@@ -26,8 +26,8 @@ from .arrangement import (
 )
 from .embedding import (
     CycleEmbedding,
-    _even_cycle_order,
     construct_even,
+    construction_order,
     perturb,
     validate_general_position,
 )
@@ -110,17 +110,6 @@ def crossing_count_convex(perm: CyclicPermutation) -> int:
     return _crossing_count(perm.order)
 
 
-def _construction_order(n: int) -> list[int]:
-    """The circle positions that `construct(n)` visits in cycle order.
-
-    Odd n steps (n-1)/2 around a regular n-gon; even n uses n of the n+1
-    vertices of a regular (n+1)-gon in label order. Both orders reach
-    `max_crossings(n)` on a circle."""
-    if n % 2:
-        return [(i * ((n - 1) // 2)) % n for i in range(n)]
-    return _even_cycle_order(n)
-
-
 def _chord_cap(n: int, a: int, b: int) -> int:
     # Crossings a chord between circle positions a and b can have in any
     # cycle. The rest of the cycle is a path through the other n-2 labels,
@@ -192,7 +181,7 @@ def oracle_max_regions_convex(n: int) -> OracleResult:
             "larger n take too long to search exactly"
         )
     ids, cross, caps = _chord_table(n)
-    best = _crossing_count(_construction_order(n)) - 1
+    best = _crossing_count(construction_order(n)) - 1
     witness: tuple[int, ...] = ()
     evaluated = visited = pruned = 0
 

@@ -2,7 +2,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from cycleregions import cli, embedding, search
+from cycleregions import cli, embedding
 from cycleregions.cli import main
 from cycleregions.embedding import (
     ConstructionNotACycle,
@@ -221,21 +221,19 @@ class TestErrorContract:
         assert code == 4
         assert "degenerate geometry" in err
 
-    def test_even_post_check_failure_is_verification_failure(self, tmp_path, capsys, monkeypatch):
-        # A convex placement in general position encloses 1 region, not f(n).
-        def convex(n, gap=None, scale=1, digits=12):
-            return CycleEmbedding(n, tuple(regular_polygon_points(n, scale, digits)))
-
-        monkeypatch.setattr(embedding, "construct_even_raw", convex)
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_post_check_failure_is_verification_failure(self, tmp_path, capsys, monkeypatch, n):
+        # The polygon visited in its own order encloses 1 region, not f(n).
+        monkeypatch.setattr(embedding, "construction_order", lambda n: list(range(n)))
         path = tmp_path / "x.txt"
-        code, _, err = run(capsys, "construct", "--n", "6", "--out", str(path))
+        code, _, err = run(capsys, "construct", "--n", str(n), "--out", str(path))
         assert code == 5
         assert "construction check failed" in err
         assert not path.exists()
 
     @pytest.mark.parametrize(
         "module,argv",
-        [(embedding, ("construct", "--n", "6", "--out", "x.txt")), (search, ("oracle", "--n", "6"))],
+        [(embedding, ("construct", "--n", "6", "--out", "x.txt")), (embedding, ("oracle", "--n", "6"))],
     )
     def test_even_order_that_is_not_a_cycle_is_verification_failure(
         self, tmp_path, capsys, monkeypatch, module, argv

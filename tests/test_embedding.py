@@ -231,10 +231,6 @@ class TestConstructEven:
         with pytest.raises(InvalidN):
             construct_even(2)
 
-    def test_raw_gap_out_of_range(self):
-        with pytest.raises(ValueError):
-            construct_even_raw(6, gap=7)
-
 
 def test_construct_dispatches_on_parity():
     assert construct(5) == construct_odd(5)

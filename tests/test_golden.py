@@ -67,6 +67,8 @@ CLI = {
     ('count', 'c40.txt'): "d89f7229afe538ba9af37d3c32ac42b0720659e54717b8a97e901e3d92e3fd96",
     ('construct', '--n', '41', '--out', 'c41.txt'): "f000ecf4026856be825d0f1f4c4d8e4439c44c3de7c69823f635b9b4bc69ff94",
     ('count', 'c41.txt'): "522a88646cb433b78959ab2aa843380770741329f4070980b06a0f8052ac6490",
+    ('verify', '--format', 'tsv'): "ded4913bf3262e195589fda271c71e62adf54132cda2b500e502805cb10eb8ff",
+    ('oracle', '--n', '10'): "cecf32143dec47226ea6f257b54413471ad8c5aefe1e178bcea198175c20bfc9",
 }
 
 
@@ -92,3 +94,9 @@ def test_cli_stdout_bytes(n, tmp_path, monkeypatch, capsys):
     for argv in (("construct", "--n", str(n), "--out", f"c{n}.txt"), ("count", f"c{n}.txt")):
         assert main(list(argv)) == 0
         assert digest(capsys.readouterr().out) == CLI[argv]
+
+
+@pytest.mark.parametrize("argv", [("verify", "--format", "tsv"), ("oracle", "--n", "10")])
+def test_cli_stdout_bytes_without_files(argv, capsys):
+    assert main(list(argv)) == 0
+    assert digest(capsys.readouterr().out) == CLI[argv]

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from cycleregions.arrangement import build_arrangement, region_count_euler
 from cycleregions.embedding import (
     CycleEmbedding,
+    construction_order,
     perturb,
     regular_polygon_points,
     validate_general_position,
@@ -22,7 +23,6 @@ from cycleregions.search import (
     _bound,
     _chord_cap,
     _chord_table,
-    _construction_order,
     _crossing_count,
     crossing_count_convex,
     oracle_max_regions_convex,
@@ -249,7 +249,7 @@ class TestOracle:
 
     def test_construction_order_reaches_the_maximum(self):
         for n in range(3, 201):
-            order = _construction_order(n)
+            order = construction_order(n)
             assert sorted(order) == list(range(n))
             assert _crossing_count(order) == max_crossings(n)
 
