@@ -1,119 +1,80 @@
 """Exact-arithmetic constructions, region counts, and verification
-oracles for straight-line embeddings of cycle graphs."""
+oracles for straight-line embeddings of cycle graphs.
 
-from .arrangement import (
-    Arrangement,
-    DegenerateInput,
-    SegmentClass,
-    SplitterReport,
-    VertexKind,
-    build_arrangement,
-    region_count_euler,
-    region_count_traversal,
-    splitter_analysis,
-)
-from .embedding import (
-    ConstructionCheckFailed,
-    ConstructionNotACycle,
-    CycleEmbedding,
-    DegeneracyReport,
-    PerturbationFailed,
-    construct,
-    construct_even,
-    construct_even_raw,
-    construct_odd,
-    format_embedding,
-    load_embedding,
-    parse_embedding,
-    perturb,
-    regular_polygon_points,
-    save_embedding,
-    validate_general_position,
-)
-from .formulas import (
-    InvalidN,
-    Parity,
-    ParityCase,
-    f_max,
-    predicted_edges,
-    predicted_vertices,
-)
-from .geometry import (
-    Intersection,
-    IntersectionKind,
-    Orientation,
-    Point,
-    PointNotOnSegment,
-    Segment,
-    cross,
-    orientation,
-    point_on_segment,
-    segment_intersection,
-    sort_points_along,
-)
-from .render import RenderOptions, to_svg
-from .search import (
-    CyclicPermutation,
-    NTooLarge,
-    OracleResult,
-    crossing_count_convex,
-    oracle_max_regions_convex,
-    random_search,
-    splitter_bound_check,
-)
+Each public name is imported from its module on first use (PEP 562), so
+`import cycleregions` loads no layer until one of its names is read.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Arrangement",
-    "ConstructionCheckFailed",
-    "ConstructionNotACycle",
-    "CycleEmbedding",
-    "CyclicPermutation",
-    "DegeneracyReport",
-    "DegenerateInput",
-    "Intersection",
-    "IntersectionKind",
-    "InvalidN",
-    "NTooLarge",
-    "OracleResult",
-    "Orientation",
-    "Parity",
-    "ParityCase",
-    "PerturbationFailed",
-    "Point",
-    "PointNotOnSegment",
-    "RenderOptions",
-    "Segment",
-    "SegmentClass",
-    "SplitterReport",
-    "VertexKind",
-    "build_arrangement",
-    "construct",
-    "construct_even",
-    "construct_even_raw",
-    "construct_odd",
-    "cross",
-    "crossing_count_convex",
-    "f_max",
-    "format_embedding",
-    "load_embedding",
-    "oracle_max_regions_convex",
-    "orientation",
-    "parse_embedding",
-    "perturb",
-    "point_on_segment",
-    "predicted_edges",
-    "predicted_vertices",
-    "random_search",
-    "region_count_euler",
-    "region_count_traversal",
-    "regular_polygon_points",
-    "save_embedding",
-    "segment_intersection",
-    "sort_points_along",
-    "splitter_analysis",
-    "splitter_bound_check",
-    "to_svg",
-    "validate_general_position",
-]
+# Public name -> the module that defines it.
+_EXPORTS = {
+    "Arrangement": "arrangement",
+    "ConstructionCheckFailed": "embedding",
+    "ConstructionNotACycle": "formulas",
+    "CycleEmbedding": "embedding",
+    "CyclicPermutation": "search",
+    "DegeneracyReport": "embedding",
+    "DegenerateInput": "arrangement",
+    "Intersection": "geometry",
+    "IntersectionKind": "geometry",
+    "InvalidN": "formulas",
+    "NTooLarge": "search",
+    "OracleResult": "search",
+    "Orientation": "geometry",
+    "Parity": "formulas",
+    "ParityCase": "formulas",
+    "PerturbationFailed": "embedding",
+    "Point": "geometry",
+    "PointNotOnSegment": "geometry",
+    "RenderOptions": "render",
+    "Segment": "geometry",
+    "SegmentClass": "arrangement",
+    "SplitterReport": "arrangement",
+    "VertexKind": "arrangement",
+    "build_arrangement": "arrangement",
+    "construct": "embedding",
+    "construct_even": "embedding",
+    "construct_even_raw": "embedding",
+    "construct_odd": "embedding",
+    "cross": "geometry",
+    "crossing_count_convex": "search",
+    "f_max": "formulas",
+    "format_embedding": "embedding",
+    "load_embedding": "embedding",
+    "oracle_max_regions_convex": "search",
+    "orientation": "geometry",
+    "parse_embedding": "embedding",
+    "perturb": "embedding",
+    "point_on_segment": "geometry",
+    "predicted_edges": "formulas",
+    "predicted_vertices": "formulas",
+    "random_search": "search",
+    "region_count_euler": "arrangement",
+    "region_count_traversal": "arrangement",
+    "regular_polygon_points": "embedding",
+    "save_embedding": "embedding",
+    "segment_intersection": "geometry",
+    "sort_points_along": "geometry",
+    "splitter_analysis": "arrangement",
+    "splitter_bound_check": "search",
+    "to_svg": "render",
+    "validate_general_position": "embedding",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later reads skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

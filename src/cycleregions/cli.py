@@ -5,32 +5,24 @@ or failed perturbation, 5 verification failure, a construction that misses
 its own post-check, or even connections that do not form one cycle. Every
 randomized command prints its seed so any run can be reproduced from its
 own log.
+
+Each subcommand imports the layers it runs when it runs, so a command
+starts up without the ones it does not need.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
-from .arrangement import (
-    DegenerateInput,
-    build_arrangement,
-    region_count_euler,
-    region_count_traversal,
-    splitter_analysis,
-)
-from .embedding import (
-    ConstructionCheckFailed,
+from .formulas import (
+    ORACLE_MAX_N,
     ConstructionNotACycle,
-    PerturbationFailed,
-    construct,
-    load_embedding,
-    save_embedding,
+    ParityCase,
+    construction_splitters,
+    f_max,
 )
-from .formulas import InvalidN, ParityCase, construction_splitters, f_max
-from .render import RenderOptions, to_svg
-from .search import NTooLarge, ORACLE_MAX_N, oracle_max_regions_convex, random_search
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -39,8 +31,7 @@ EXIT_DEGENERATE = 4
 EXIT_VERIFY_FAILED = 5
 
 
-@dataclass(frozen=True)
-class VerifyRow:
+class VerifyRow(NamedTuple):
     n: int
     parity: str
     f_formula: int
@@ -60,6 +51,9 @@ def _emit(args, pairs: list[tuple[str, object]]) -> None:
 
 
 def cmd_construct(args) -> int:
+    from .arrangement import build_arrangement
+    from .embedding import construct, save_embedding
+
     emb = construct(args.n, seed=args.seed)
     save_embedding(emb, args.out)
     arr = build_arrangement(emb)
@@ -78,6 +72,14 @@ def cmd_construct(args) -> int:
 
 
 def cmd_count(args) -> int:
+    from .arrangement import (
+        build_arrangement,
+        region_count_euler,
+        region_count_traversal,
+        splitter_analysis,
+    )
+    from .embedding import load_embedding
+
     emb = load_embedding(args.path)
     arr = build_arrangement(emb)
     euler = region_count_euler(arr)
@@ -107,6 +109,14 @@ def cmd_count(args) -> int:
 
 
 def verify_rows(n_min: int, n_max: int, seed: int) -> list[VerifyRow]:
+    from .arrangement import (
+        build_arrangement,
+        region_count_euler,
+        region_count_traversal,
+        splitter_analysis,
+    )
+    from .embedding import construct
+
     rows = []
     for n in range(n_min, n_max + 1):
         case = ParityCase.of(n)
@@ -131,22 +141,19 @@ def verify_rows(n_min: int, n_max: int, seed: int) -> list[VerifyRow]:
     return rows
 
 
-_VERIFY_COLUMNS = tuple(f.name for f in fields(VerifyRow))
-
-
 def cmd_verify(args) -> int:
     if args.n_min < 3 or args.n_max < args.n_min:
         raise ValueError(f"bad range [{args.n_min}, {args.n_max}]")
     rows = verify_rows(args.n_min, args.n_max, args.seed)
     if args.format == "tsv":
         for row in rows:
-            print("\t".join(str(getattr(row, col)) for col in _VERIFY_COLUMNS))
+            print("\t".join(str(v) for v in row))
     else:
         print(f"seed: {args.seed}")
-        header = "  ".join(f"{col:>17}" for col in _VERIFY_COLUMNS)
+        header = "  ".join(f"{col:>17}" for col in VerifyRow._fields)
         print(header)
         for row in rows:
-            print("  ".join(f"{getattr(row, col)!s:>17}" for col in _VERIFY_COLUMNS))
+            print("  ".join(f"{v!s:>17}" for v in row))
     failing = [row for row in rows if not row.match]
     if failing:
         print(f"first failing row: n={failing[0].n}", file=sys.stderr)
@@ -155,6 +162,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .search import oracle_max_regions_convex
+
     result = oracle_max_regions_convex(args.n)
     target = f_max(args.n)
     status = "PASS" if result.max_regions == target else "FAIL"
@@ -174,6 +183,8 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_search(args) -> int:
+    from .search import random_search
+
     best, _ = random_search(args.n, args.trials, args.seed)
     bound = f_max(args.n)
     status = "PASS" if best <= bound else "FAIL"
@@ -195,15 +206,24 @@ def cmd_render(args) -> int:
     if args.width <= 0 or args.height <= 0:
         raise ValueError(f"render size must be positive, got {args.width}x{args.height}")
     # Colors land inside SVG attribute values unescaped, and the SVG is ASCII.
-    for flag, color in (
-        ("--stroke", args.stroke),
-        ("--splitter-stroke", args.splitter_stroke),
-        ("--fill", args.fill),
+    # Only the colors given are passed on; RenderOptions owns the defaults.
+    colors = {}
+    for flag, name in (
+        ("--stroke", "stroke"),
+        ("--splitter-stroke", "splitter_stroke"),
+        ("--fill", "fill"),
     ):
+        color = getattr(args, name)
+        if color is None:
+            continue
         if not color.isascii() or any(ch in color for ch in "\"'<>&"):
             raise ValueError(
                 f"{flag} must not contain non-ASCII characters or any of \" ' < > &, got {color!r}"
             )
+        colors[name] = color
+    from .embedding import load_embedding
+    from .render import RenderOptions, to_svg
+
     emb = load_embedding(args.path)
     opts = RenderOptions(
         width=args.width,
@@ -211,9 +231,7 @@ def cmd_render(args) -> int:
         label_corners=args.label_corners,
         highlight_splitters=args.highlight_splitters,
         shade_regions=args.shade_regions,
-        stroke=args.stroke,
-        splitter_stroke=args.splitter_stroke,
-        fill=args.fill,
+        **colors,
     )
     svg = to_svg(emb, opts)
     if args.out:
@@ -277,9 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--highlight-splitters", action="store_true")
     p.add_argument("--shade-regions", action="store_true")
-    p.add_argument("--stroke", default=RenderOptions.stroke)
-    p.add_argument("--splitter-stroke", default=RenderOptions.splitter_stroke)
-    p.add_argument("--fill", default=RenderOptions.fill)
+    p.add_argument("--stroke")
+    p.add_argument("--splitter-stroke")
+    p.add_argument("--fill")
     p.set_defaults(func=cmd_render)
 
     return parser
@@ -293,22 +311,36 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_BAD_INPUT
     try:
         return args.func(args)
-    except DegenerateInput as exc:
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
+        return code
+
+
+def _exit_code(exc: Exception) -> int | None:
+    """Report a failure on stderr and return its exit code, or None for
+    an exception outside the error contract. The layers' exception classes
+    are imported here, so only a failing command loads them."""
+    from .arrangement import DegenerateInput
+    from .embedding import ConstructionCheckFailed, PerturbationFailed
+
+    if isinstance(exc, DegenerateInput):
         print(f"degenerate geometry: {exc.report.summary()}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except PerturbationFailed as exc:
+    if isinstance(exc, PerturbationFailed):
         print(f"degenerate geometry: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (ConstructionCheckFailed, ConstructionNotACycle) as exc:
+    if isinstance(exc, (ConstructionCheckFailed, ConstructionNotACycle)):
         print(f"construction check failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    except (InvalidN, NTooLarge, ValueError) as exc:
+    if isinstance(exc, ValueError):  # InvalidN and NTooLarge included
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except OSError as exc:
+    if isinstance(exc, OSError):
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
-
+    return None
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -14,11 +14,19 @@ from __future__ import annotations
 import functools
 import math
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-from .formulas import InvalidN, construction_splitters, max_crossings
+# construct raises ConstructionNotACycle, so embedding exports it too.
+from .formulas import (
+    ConstructionNotACycle,
+    InvalidN,
+    construction_order,
+    construction_splitters,
+    max_crossings,
+)
 from .geometry import Point, Segment
 
 Scale = Union[int, Fraction]
@@ -29,10 +37,9 @@ PERTURB_RETRIES = 64
 PERTURB_EPSILON = Fraction(1, 10_000)
 # Denominator bound for the random offsets drawn inside perturb().
 _OFFSET_GRID = 10**6
-
-
-class ConstructionNotACycle(RuntimeError):
-    """The even construction's segment set failed to form one n-cycle."""
+# The file format's only spellings of a count and of a coordinate.
+_COUNT = re.compile("[0-9]+")
+_RATIONAL = re.compile("(-?[0-9]+)/([0-9]+)")
 
 
 class PerturbationFailed(RuntimeError):
@@ -335,57 +342,6 @@ def regular_polygon_points(k: int, scale: Scale = 1, digits: int = DEFAULT_DIGIT
     return pts
 
 
-def _even_connection_pairs(n: int) -> list[tuple[int, int]]:
-    # Step-(n/2-1) connections give n/2 parallel pairs on a regular
-    # placement; replacing one parallel pair with the crossing pair
-    # {0, n/2}, {n/2-1, n-1} re-links everything into a single cycle.
-    s = n // 2 - 1
-    pairs = {frozenset((c, (c + s) % n)) for c in range(n)}
-    pairs.discard(frozenset((0, s)))
-    pairs.discard(frozenset((n // 2, n - 1)))
-    pairs.add(frozenset((0, n // 2)))
-    pairs.add(frozenset((s, n - 1)))
-    return sorted(tuple(sorted(p)) for p in pairs)
-
-
-def _even_cycle_order(n: int) -> list[int]:
-    """Corner labels in the order the even construction's cycle visits
-    them, starting at 0 toward its smaller neighbour."""
-    pairs = _even_connection_pairs(n)
-    adj: dict[int, list[int]] = {c: [] for c in range(n)}
-    for a, b in pairs:
-        adj[a].append(b)
-        adj[b].append(a)
-    if len(pairs) != n or any(len(v) != 2 for v in adj.values()):
-        raise ConstructionNotACycle(f"connection set for n={n} is not 2-regular")
-    order = [0]
-    prev = -1
-    cur = 0
-    for _ in range(n - 1):
-        nxt = min(b for b in adj[cur] if b != prev)
-        order.append(nxt)
-        prev, cur = cur, nxt
-    if len(set(order)) != n or 0 not in adj[cur]:
-        raise ConstructionNotACycle(
-            f"connection set for n={n} splits into more than one cycle"
-        )
-    return order
-
-
-def construction_order(n: int) -> list[int]:
-    """The polygon vertices `construct(n)` visits, in cycle order.
-
-    Odd n steps (n-1)/2 around a regular n-gon; the step is coprime to n,
-    so every connection crosses or touches all n-1 others. Even n connects
-    corner c to corner c + (n/2 - 1) and swaps one of the resulting
-    parallel pairs for a crossing pair (`_even_cycle_order`), on n of the
-    n+1 vertices of a regular (n+1)-gon. Both orders reach
-    `max_crossings(n)` on a circle."""
-    if n % 2:
-        return [(i * ((n - 1) // 2)) % n for i in range(n)]
-    return _even_cycle_order(n)
-
-
 def _place(n: int) -> CycleEmbedding:
     # Even n leaves vertex n of the (n+1)-gon unused, between labels n-1
     # and 0, which is between the endpoints of the two crossing connections.
@@ -454,28 +410,31 @@ def format_embedding(emb: CycleEmbedding) -> str:
 
 
 def _parse_rational(tok: str) -> Fraction:
-    num, sep, den = tok.partition("/")
-    if not sep:
+    match = _RATIONAL.fullmatch(tok)
+    if match is None:
         raise ValueError(f"coordinate {tok!r} is not of the form p/q")
-    try:
-        return Fraction(int(num), int(den))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad coordinate {tok!r}: {exc}") from None
+    num, den = int(match[1]), int(match[2])
+    if den == 0:
+        raise ValueError(f"bad coordinate {tok!r}: zero denominator")
+    return Fraction(num, den)
 
 
 def parse_embedding(text: str) -> CycleEmbedding:
     """Parse the embedding text format; raises ValueError on any
-    malformed content."""
+    malformed content.
+
+    The count is ASCII digits and each coordinate is `-?[0-9]+/[0-9]+`
+    with a denominator of at least 1. Other spellings `int()` would take,
+    such as `+1`, `1_0` or `1/-1`, are rejected."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty embedding document")
     head = lines[0].split()
     if len(head) != 2 or head[0] != "n":
         raise ValueError(f"expected header 'n <int>', got {lines[0]!r}")
-    try:
-        n = int(head[1])
-    except ValueError:
-        raise ValueError(f"bad cycle length {head[1]!r}") from None
+    if not _COUNT.fullmatch(head[1]):
+        raise ValueError(f"bad cycle length {head[1]!r}")
+    n = int(head[1])
     if len(lines) - 1 != n:
         raise ValueError(f"expected {n} corner lines, got {len(lines) - 1}")
     corners = []

@@ -1,5 +1,6 @@
 """Closed forms for the maximal region count and the arrangement sizes
-and splitter classes realised by the extremal constructions.
+and splitter classes realised by the extremal constructions, and the
+cycle order those constructions visit.
 
 All values are exact integers computed with integer arithmetic only.
 """
@@ -7,11 +8,20 @@ All values are exact integers computed with integer arithmetic only.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
+
+# Largest n the exact convex oracle accepts. n = 18, the slowest accepted
+# n, takes about 2.5 s (odd n prunes far better); n = 20 takes about six
+# times as long.
+ORACLE_MAX_N = 19
 
 
 class InvalidN(ValueError):
     """Cycle length below 3 has no embedding with enclosed regions."""
+
+
+class ConstructionNotACycle(RuntimeError):
+    """The even construction's segment set failed to form one n-cycle."""
 
 
 def _check_n(n: int) -> None:
@@ -26,18 +36,22 @@ class Parity(enum.Enum):
     ODD = "odd"
 
 
-@dataclass(frozen=True)
-class ParityCase:
-    """A cycle length together with its parity tag."""
-
+class _ParityCaseFields(NamedTuple):
     n: int
     parity: Parity
 
-    def __post_init__(self) -> None:
-        _check_n(self.n)
-        expected = Parity.EVEN if self.n % 2 == 0 else Parity.ODD
-        if self.parity is not expected:
-            raise ValueError(f"parity tag {self.parity} does not match n={self.n}")
+
+class ParityCase(_ParityCaseFields):
+    """A cycle length together with its parity tag."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, parity: Parity) -> "ParityCase":
+        _check_n(n)
+        expected = Parity.EVEN if n % 2 == 0 else Parity.ODD
+        if parity is not expected:
+            raise ValueError(f"parity tag {parity} does not match n={n}")
+        return super().__new__(cls, n, parity)
 
     @classmethod
     def of(cls, n: int) -> "ParityCase":
@@ -90,3 +104,54 @@ def predicted_edges(n: int) -> int:
     """Arrangement edge count of the maximal construction for cycle
     length n."""
     return n + 2 * max_crossings(n)
+
+
+def _even_connection_pairs(n: int) -> list[tuple[int, int]]:
+    # Step-(n/2-1) connections give n/2 parallel pairs on a regular
+    # placement; replacing one parallel pair with the crossing pair
+    # {0, n/2}, {n/2-1, n-1} re-links everything into a single cycle.
+    s = n // 2 - 1
+    pairs = {frozenset((c, (c + s) % n)) for c in range(n)}
+    pairs.discard(frozenset((0, s)))
+    pairs.discard(frozenset((n // 2, n - 1)))
+    pairs.add(frozenset((0, n // 2)))
+    pairs.add(frozenset((s, n - 1)))
+    return sorted(tuple(sorted(p)) for p in pairs)
+
+
+def _even_cycle_order(n: int) -> list[int]:
+    """Corner labels in the order the even construction's cycle visits
+    them, starting at 0 toward its smaller neighbour."""
+    pairs = _even_connection_pairs(n)
+    adj: dict[int, list[int]] = {c: [] for c in range(n)}
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    if len(pairs) != n or any(len(v) != 2 for v in adj.values()):
+        raise ConstructionNotACycle(f"connection set for n={n} is not 2-regular")
+    order = [0]
+    prev = -1
+    cur = 0
+    for _ in range(n - 1):
+        nxt = min(b for b in adj[cur] if b != prev)
+        order.append(nxt)
+        prev, cur = cur, nxt
+    if len(set(order)) != n or 0 not in adj[cur]:
+        raise ConstructionNotACycle(
+            f"connection set for n={n} splits into more than one cycle"
+        )
+    return order
+
+
+def construction_order(n: int) -> list[int]:
+    """The polygon vertices `embedding.construct(n)` visits, in cycle order.
+
+    Odd n steps (n-1)/2 around a regular n-gon; the step is coprime to n,
+    so every connection crosses or touches all n-1 others. Even n connects
+    corner c to corner c + (n/2 - 1) and swaps one of the resulting
+    parallel pairs for a crossing pair (`_even_cycle_order`), on n of the
+    n+1 vertices of a regular (n+1)-gon. Both orders reach
+    `max_crossings(n)` on a circle."""
+    if n % 2:
+        return [(i * ((n - 1) // 2)) % n for i in range(n)]
+    return _even_cycle_order(n)

@@ -14,29 +14,12 @@ from __future__ import annotations
 import bisect
 import math
 import random
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .arrangement import (
-    DegenerateInput,
-    build_arrangement,
-    region_count_euler,
-    splitter_analysis,
-)
-from .embedding import (
-    CycleEmbedding,
-    construct_even,
-    construction_order,
-    perturb,
-    validate_general_position,
-)
-from .formulas import InvalidN, f_max
-from .geometry import Point
+from .formulas import ORACLE_MAX_N, InvalidN, construction_order
 
-# n = 18, the slowest accepted n, takes about 2.5 s (odd n prunes far
-# better); n = 20 takes about six times as long.
-ORACLE_MAX_N = 19
+if TYPE_CHECKING:
+    from .embedding import CycleEmbedding
 
 COORD_RANGE = 10**6  # random placements draw integer grid coordinates here
 
@@ -46,22 +29,26 @@ class NTooLarge(ValueError):
     exact search takes more than a few seconds."""
 
 
-@dataclass(frozen=True)
-class CyclicPermutation:
+class _CyclicPermutationFields(NamedTuple):
+    order: tuple[int, ...]
+
+
+class CyclicPermutation(_CyclicPermutationFields):
     """A cycle order in canonical form: starts at 0 and is the
     lexicographically smaller of itself and its reversal."""
 
-    order: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "order", tuple(self.order))
-        n = len(self.order)
+    def __new__(cls, order: Sequence[int]) -> "CyclicPermutation":
+        order = tuple(order)
+        n = len(order)
         if n < 3:
             raise ValueError(f"cycle order needs at least 3 labels, got {n}")
-        if sorted(self.order) != list(range(n)):
-            raise ValueError(f"not a permutation of 0..{n - 1}: {self.order}")
-        if self.order[0] != 0 or self.order[1] > self.order[-1]:
-            raise ValueError(f"not in canonical form: {self.order}")
+        if sorted(order) != list(range(n)):
+            raise ValueError(f"not a permutation of 0..{n - 1}: {order}")
+        if order[0] != 0 or order[1] > order[-1]:
+            raise ValueError(f"not in canonical form: {order}")
+        return super().__new__(cls, order)
 
     @classmethod
     def canonical(cls, seq: Sequence[int]) -> "CyclicPermutation":
@@ -77,8 +64,7 @@ class CyclicPermutation:
         return cls(min(fwd, rev))
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     n: int
     max_regions: int
     witness: CyclicPermutation
@@ -226,26 +212,20 @@ def oracle_max_regions_convex(n: int) -> OracleResult:
     )
 
 
-def _random_distinct_points(rng: random.Random, n: int) -> list[Point]:
-    pts: list[Point] = []
+def _random_corners(rng: random.Random, n: int) -> list[tuple[int, int]]:
+    corners: list[tuple[int, int]] = []
     seen = set()
-    while len(pts) < n:
+    while len(corners) < n:
         xy = (rng.randint(0, COORD_RANGE), rng.randint(0, COORD_RANGE))
         if xy in seen:
             continue
         seen.add(xy)
-        pts.append(Point(Fraction(xy[0]), Fraction(xy[1])))
-    return pts
+        corners.append(xy)
+    return corners
 
 
 def _random_cycle_order(rng: random.Random, n: int) -> tuple[int, ...]:
     return tuple([0] + rng.sample(range(1, n), n - 1))
-
-
-def _count_regions(emb: CycleEmbedding, repair_seed: int) -> tuple[int, CycleEmbedding]:
-    if not validate_general_position(emb).is_empty():
-        emb = perturb(emb, Fraction(1), repair_seed)
-    return region_count_euler(build_arrangement(emb)), emb
 
 
 def random_search(n: int, trials: int, seed: int = 0) -> tuple[int, CycleEmbedding]:
@@ -260,15 +240,22 @@ def random_search(n: int, trials: int, seed: int = 0) -> tuple[int, CycleEmbeddi
         raise InvalidN(f"n must be at least 3, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    from .arrangement import build_arrangement, region_count_euler
+    from .embedding import CycleEmbedding, perturb, validate_general_position
+    from .geometry import Point
+
     rng = random.Random(seed)
     best_count = -1
     best_emb: CycleEmbedding | None = None
     identity = tuple(range(n))
     for trial in range(trials):
-        pts = _random_distinct_points(rng, n)
+        pts = [Point(x, y) for x, y in _random_corners(rng, n)]
         for order in (identity, _random_cycle_order(rng, n)):
             emb = CycleEmbedding(n, tuple(pts[lbl] for lbl in order))
-            count, emb = _count_regions(emb, rng.getrandbits(32))
+            repair_seed = rng.getrandbits(32)
+            if not validate_general_position(emb).is_empty():
+                emb = perturb(emb, 1, repair_seed)
+            count = region_count_euler(build_arrangement(emb))
             if count > best_count:
                 best_count = count
                 best_emb = emb
@@ -287,10 +274,14 @@ def splitter_bound_check(n: int, trials: int, seed: int = 0) -> int:
         raise InvalidN(f"splitter bound applies to even n >= 4, got {n}")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
+    from .arrangement import DegenerateInput, splitter_analysis
+    from .embedding import CycleEmbedding, construct_even
+    from .geometry import Point
+
     best = splitter_analysis(construct_even(n, seed)).splitter_count
     rng = random.Random(seed)
     for trial in range(trials):
-        pts = _random_distinct_points(rng, n)
+        pts = [Point(x, y) for x, y in _random_corners(rng, n)]
         order = _random_cycle_order(rng, n)
         emb = CycleEmbedding(n, tuple(pts[lbl] for lbl in order))
         try:

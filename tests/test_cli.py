@@ -2,7 +2,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from cycleregions import cli, embedding
+from cycleregions import embedding, formulas
 from cycleregions.cli import main
 from cycleregions.embedding import (
     ConstructionNotACycle,
@@ -96,6 +96,13 @@ class TestCount:
         path.write_text("not an embedding\n")
         code, _, err = run(capsys, "count", str(path))
         assert code == 2
+
+    def test_coordinate_outside_the_grammar_is_bad_input(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("n 3\ncorner 1/-1 0/1\ncorner 1/1 0/1\ncorner 0/1 1/1\n")
+        code, _, err = run(capsys, "count", str(path))
+        assert code == 2
+        assert "bad input: coordinate '1/-1' is not of the form p/q" in err
 
     def test_degenerate_file(self, tmp_path, capsys):
         poly = regular_polygon_points(6, 1, 6)
@@ -216,7 +223,7 @@ class TestErrorContract:
         def fail(n, seed=0):
             raise PerturbationFailed("no general-position embedding within 64 attempts")
 
-        monkeypatch.setattr(cli, "construct", fail)
+        monkeypatch.setattr(embedding, "construct", fail)
         code, _, err = run(capsys, "construct", "--n", "6", "--out", str(tmp_path / "x.txt"))
         assert code == 4
         assert "degenerate geometry" in err
@@ -233,7 +240,7 @@ class TestErrorContract:
 
     @pytest.mark.parametrize(
         "module,argv",
-        [(embedding, ("construct", "--n", "6", "--out", "x.txt")), (embedding, ("oracle", "--n", "6"))],
+        [(formulas, ("construct", "--n", "6", "--out", "x.txt")), (formulas, ("oracle", "--n", "6"))],
     )
     def test_even_order_that_is_not_a_cycle_is_verification_failure(
         self, tmp_path, capsys, monkeypatch, module, argv

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cycleregions import embedding as emb_mod
+from cycleregions import formulas
 from cycleregions.arrangement import build_arrangement
 from cycleregions.embedding import (
     ConstructionNotACycle,
@@ -209,18 +209,18 @@ class TestConstructEven:
 
     def test_connection_pairs_form_single_cycle(self):
         for n in range(4, 17, 2):
-            order = emb_mod._even_cycle_order(n)
+            order = formulas._even_cycle_order(n)
             assert sorted(order) == list(range(n))
 
     def test_broken_connection_set_raises(self, monkeypatch):
         # two disjoint triangles instead of one 6-cycle
         monkeypatch.setattr(
-            emb_mod,
+            formulas,
             "_even_connection_pairs",
             lambda n: [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
         )
         with pytest.raises(ConstructionNotACycle):
-            emb_mod._even_cycle_order(6)
+            formulas._even_cycle_order(6)
 
     def test_deterministic(self):
         assert construct_even(10) == construct_even(10)
@@ -280,6 +280,23 @@ class TestFileFormat:
     def test_malformed_documents_rejected(self, text):
         with pytest.raises(ValueError):
             parse_embedding(text)
+
+    @pytest.mark.parametrize(
+        "coord",
+        ["1_0/1", "+1/1", "1/-1", "1/+1", "1/0", "1/00", "-/1", "1/", "/1", "1.0/1", "1/1/1", "\uff11/1", "--1/1"],
+    )
+    def test_coordinate_outside_the_grammar_rejected(self, coord):
+        with pytest.raises(ValueError):
+            parse_embedding(f"n 3\ncorner {coord} 0/1\ncorner 1/1 0/1\ncorner 0/1 1/1\n")
+
+    @pytest.mark.parametrize("count", ["+3", "3_0", "-3", "\uff13", "3.0"])
+    def test_count_outside_the_grammar_rejected(self, count):
+        with pytest.raises(ValueError):
+            parse_embedding(f"n {count}\ncorner 0/1 0/1\ncorner 1/1 0/1\ncorner 0/1 1/1\n")
+
+    def test_coordinate_grammar_edges_accepted(self):
+        emb = parse_embedding("n 3\ncorner -0/1 07/014\ncorner 1/1 0/1\ncorner 0/1 1/1\n")
+        assert emb.corners[0] == Point(Fraction(0), Fraction(1, 2))
 
     def test_blank_lines_ignored(self):
         emb = construct(5)

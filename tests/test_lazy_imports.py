@@ -1,0 +1,135 @@
+"""Each command loads only the layers it runs, and the package resolves
+its public names on first use."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import cycleregions
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# The public names, unchanged since they were first listed.
+PUBLIC_NAMES = [
+    "Arrangement",
+    "ConstructionCheckFailed",
+    "ConstructionNotACycle",
+    "CycleEmbedding",
+    "CyclicPermutation",
+    "DegeneracyReport",
+    "DegenerateInput",
+    "Intersection",
+    "IntersectionKind",
+    "InvalidN",
+    "NTooLarge",
+    "OracleResult",
+    "Orientation",
+    "Parity",
+    "ParityCase",
+    "PerturbationFailed",
+    "Point",
+    "PointNotOnSegment",
+    "RenderOptions",
+    "Segment",
+    "SegmentClass",
+    "SplitterReport",
+    "VertexKind",
+    "build_arrangement",
+    "construct",
+    "construct_even",
+    "construct_even_raw",
+    "construct_odd",
+    "cross",
+    "crossing_count_convex",
+    "f_max",
+    "format_embedding",
+    "load_embedding",
+    "oracle_max_regions_convex",
+    "orientation",
+    "parse_embedding",
+    "perturb",
+    "point_on_segment",
+    "predicted_edges",
+    "predicted_vertices",
+    "random_search",
+    "region_count_euler",
+    "region_count_traversal",
+    "regular_polygon_points",
+    "save_embedding",
+    "segment_intersection",
+    "sort_points_along",
+    "splitter_analysis",
+    "splitter_bound_check",
+    "to_svg",
+    "validate_general_position",
+]
+
+LAYERS = [f"cycleregions.{m}" for m in ("geometry", "embedding", "arrangement", "render")]
+
+
+def loaded_after(script: str, *args: str) -> set[str]:
+    """The modules loaded once `script` has run in a fresh interpreter with
+    this checkout's src first on the path. The script's own stdout is
+    discarded; its sys.modules comes back on stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    script += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)), file=sys.stderr)\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+RUN_CLI = "import sys\nimport cycleregions.cli as cli\nassert cli.main(sys.argv[1:]) == 0"
+
+
+def test_oracle_loads_no_geometry_fractions_or_dataclasses():
+    loaded = loaded_after(RUN_CLI, "oracle", "--n", "6")
+    assert "cycleregions.search" in loaded  # the run did reach the oracle
+    assert loaded.isdisjoint(LAYERS + ["fractions", "dataclasses"])
+
+
+def test_count_loads_neither_search_nor_render(tmp_path):
+    path = tmp_path / "c6.txt"
+    cycleregions.save_embedding(cycleregions.construct(6), str(path))
+    loaded = loaded_after(RUN_CLI, "count", str(path))
+    assert "cycleregions.arrangement" in loaded
+    assert loaded.isdisjoint(["cycleregions.search", "cycleregions.render"])
+
+
+def test_import_loads_a_layer_only_on_first_use():
+    assert not any(m.startswith("cycleregions.") for m in loaded_after("import cycleregions"))
+    loaded = loaded_after("import cycleregions\ncycleregions.f_max")
+    assert {m for m in loaded if m.startswith("cycleregions.")} == {"cycleregions.formulas"}
+
+
+def test_all_is_unchanged():
+    assert cycleregions.__all__ == PUBLIC_NAMES
+
+
+def test_every_name_is_the_defining_module_object():
+    def defined(name):
+        obj = getattr(cycleregions, name)
+        return getattr(importlib.import_module(obj.__module__), name)
+
+    assert [name for name in PUBLIC_NAMES if defined(name) is not getattr(cycleregions, name)] == []
+
+
+def test_dir_and_star_import_list_every_name():
+    assert set(PUBLIC_NAMES) <= set(dir(cycleregions))
+    namespace: dict = {}
+    exec("from cycleregions import *", namespace)
+    assert {k for k in namespace if k != "__builtins__"} == set(PUBLIC_NAMES)
+    assert all(namespace[name] is getattr(cycleregions, name) for name in PUBLIC_NAMES)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        cycleregions.no_such_name
+    assert not hasattr(cycleregions, "pair_table")
