@@ -15,7 +15,7 @@ classification.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .embedding import CycleEmbedding, DegeneracyReport, PairTable, pair_table
 from .geometry import Point
@@ -34,19 +34,28 @@ class VertexKind(enum.Enum):
     CROSSING = "crossing"
 
 
-@dataclass(frozen=True)
-class Arrangement:
+class Arrangement(NamedTuple):
     """Subdivision of an embedding into arrangement vertices and edges.
 
     per_segment[i] is (vertices on segment i, edges on segment i),
-    endpoints included.
+    endpoints included. The crossings stay integers in `table` until
+    `vertices` is read.
     """
 
-    vertices: tuple[tuple[Point, VertexKind], ...]
     vertex_count: int
     edge_count: int
     face_count: int
     per_segment: tuple[tuple[int, int], ...]
+    corners: tuple[Point, ...]
+    table: PairTable
+
+    @property
+    def vertices(self) -> tuple[tuple[Point, VertexKind], ...]:
+        """The corners in cycle order, then the proper crossings in (x, y)
+        order, each with its kind."""
+        return tuple((p, VertexKind.CORNER) for p in self.corners) + tuple(
+            (p, VertexKind.CROSSING) for p in self.table.points
+        )
 
 
 class SegmentClass(enum.Enum):
@@ -55,8 +64,7 @@ class SegmentClass(enum.Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class SplitterReport:
+class SplitterReport(NamedTuple):
     """Per-segment intersection counts and their classification.
 
     A segment of an n-cycle is a splitter when it meets all n-1 others
@@ -92,17 +100,16 @@ def _general_position_table(emb: CycleEmbedding) -> PairTable:
 def build_arrangement(emb: CycleEmbedding) -> Arrangement:
     """Subdivide a general-position embedding at its proper crossings.
 
-    face_count is the bounded-region count E - V + 1 of the connected
-    plane graph.
+    Segment i is split at the len(chains[i]) crossings of its pair-table
+    chain, so the counts come from the chain lengths alone and no crossing
+    point is built. face_count is the bounded-region count E - V + 1 of
+    the connected plane graph.
     """
     table = _general_position_table(emb)
-    verts = tuple((p, VertexKind.CORNER) for p in emb.corners) + tuple(
-        (p, VertexKind.CROSSING) for p in table.points
-    )
     per_segment = tuple((len(chain) + 2, len(chain) + 1) for chain in table.chains)
-    v = len(verts)
+    v = emb.n + len(table.xyd)
     e = sum(edges for _, edges in per_segment)
-    return Arrangement(verts, v, e, e - v + 1, per_segment)
+    return Arrangement(v, e, e - v + 1, per_segment, emb.corners, table)
 
 
 def region_count_euler(arr: Arrangement) -> int:
@@ -130,7 +137,7 @@ def region_count_traversal(emb: CycleEmbedding) -> int:
     chains = [
         (i, *(n + c for c in chain), (i + 1) % n) for i, chain in enumerate(table.chains)
     ]
-    ccw: list[list[int]] = [[] for _ in range(n + len(table.points))]
+    ccw: list[list[int]] = [[] for _ in range(n + len(table.xyd))]
     for chain in chains:
         ccw[chain[0]].append(chain[1])
         ccw[chain[-1]].append(chain[-2])

@@ -15,9 +15,8 @@ import functools
 import math
 import random
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 # construct raises ConstructionNotACycle, so embedding exports it too.
 from .formulas import (
@@ -50,22 +49,24 @@ class ConstructionCheckFailed(RuntimeError):
     """A construction missed max_crossings(n) or its splitter classes."""
 
 
-@dataclass(frozen=True)
-class CycleEmbedding:
-    """n corners in cycle order; segment i joins corner i to corner i+1
-    (indices mod n)."""
-
+class _CycleEmbeddingFields(NamedTuple):
     n: int
     corners: tuple[Point, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 3:
-            raise InvalidN(f"cycle length must be at least 3, got {self.n}")
-        object.__setattr__(self, "corners", tuple(self.corners))
-        if len(self.corners) != self.n:
-            raise ValueError(
-                f"expected {self.n} corners, got {len(self.corners)}"
-            )
+
+class CycleEmbedding(_CycleEmbeddingFields):
+    """n corners in cycle order; segment i joins corner i to corner i+1
+    (indices mod n)."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, corners: Iterable[Point]) -> "CycleEmbedding":
+        if n < 3:
+            raise InvalidN(f"cycle length must be at least 3, got {n}")
+        corners = tuple(corners)
+        if len(corners) != n:
+            raise ValueError(f"expected {n} corners, got {len(corners)}")
+        return super().__new__(cls, n, corners)
 
     def segment(self, i: int) -> Segment:
         return Segment(self.corners[i], self.corners[(i + 1) % self.n], i)
@@ -74,8 +75,7 @@ class CycleEmbedding:
         return [self.segment(i) for i in range(self.n)]
 
 
-@dataclass(frozen=True)
-class DegeneracyReport:
+class DegeneracyReport(NamedTuple):
     """Everything that keeps an embedding out of general position.
 
     triple_points:      (point, cycle indices of the >= 3 segments with a
@@ -116,26 +116,46 @@ class PairTable(NamedTuple):
     """A drawing's DegeneracyReport, how many other segments each segment
     meets, and its proper crossings.
 
-    Crossing c is points[c]; crossing ids follow the points' (x, y) order.
+    Crossings stay integers: with (X, Y, D) = xyd[c], crossing c is the
+    point (X / (D * scale), Y / (D * scale)), and `points` builds those
+    Points when read. Crossing ids follow the points' (x, y) order.
     chains[i] lists the ids of segment i's crossings from corner i toward
     corner i+1, and signs[c] is the sign of cross(u_i, u_j) for the
     directions u_i, u_j of the crossing's two segments, i < j. Everything
-    but the report is None when adjacent corners coincide, since a
-    collapsed segment has no pairs.
+    but the report and scale is None when adjacent corners coincide, since
+    a collapsed segment has no pairs.
     """
 
     report: DegeneracyReport
     meets: Optional[tuple[int, ...]]
-    points: Optional[tuple[Point, ...]]
+    xyd: Optional[tuple[tuple[int, int, int], ...]]
     chains: Optional[tuple[tuple[int, ...], ...]]
     signs: Optional[tuple[int, ...]]
+    scale: int
+
+    @property
+    def points(self) -> Optional[tuple[Point, ...]]:
+        """Each proper crossing as a Point; crossing c is points[c]."""
+        if self.xyd is None:
+            return None
+        return _crossing_points(self.xyd, self.scale)
 
     @property
     def crossings(self) -> Optional[tuple[tuple[Point, ...], ...]]:
         """Each segment's proper crossing points, in order along it."""
         if self.chains is None:
             return None
-        return tuple(tuple(self.points[c] for c in chain) for chain in self.chains)
+        points = self.points
+        return tuple(tuple(points[c] for c in chain) for chain in self.chains)
+
+
+def _scaled_point(x: int, y: int, d: int, scale: int) -> Point:
+    return Point(Fraction(x, d * scale), Fraction(y, d * scale))
+
+
+@functools.lru_cache(maxsize=1)
+def _crossing_points(xyd: tuple[tuple[int, int, int], ...], scale: int) -> tuple[Point, ...]:
+    return tuple(_scaled_point(x, y, d, scale) for x, y, d in xyd)
 
 
 def _between(a: int, v: int, b: int) -> bool:
@@ -167,7 +187,9 @@ def pair_table(emb: CycleEmbedding) -> PairTable:
     # Coinciding adjacent corners collapse a segment entirely; nothing
     # further can be measured, so report just the coincidences.
     if any((j - i) % n in (1, n - 1) for i, j in coincident):
-        return PairTable(DegeneracyReport(coincident_corners=coincident), None, None, None, None)
+        return PairTable(
+            DegeneracyReport(coincident_corners=coincident), None, None, None, None, scale
+        )
 
     # side[s][k] = cross(corner s, corner s+1, corner k): its sign tells
     # which side of segment s's line corner k lies on.
@@ -238,22 +260,25 @@ def pair_table(emb: CycleEmbedding) -> PairTable:
     # the (x, y) order.
     key_scale = max((f[2] for f in found), default=1) ** 2
     found.sort(key=lambda f: (f[0] * key_scale // f[2], f[1] * key_scale // f[2]))
-    points = []
+    xyd = tuple(f[:3] for f in found)
     chains: list[list[int]] = [[] for _ in range(n)]
-    crossings_at: dict[tuple[int, int, int], tuple[Point, set[int]]] = {}
-    for c, (x, y, d, i, j, _) in enumerate(found):
-        p = Point(Fraction(x, d * scale), Fraction(y, d * scale))
-        points.append(p)
-        chains[i].append(c)
-        chains[j].append(c)
-        crossings_at.setdefault((x, y, d), (p, set()))[1].update((i, j))
+    for c, f in enumerate(found):
+        chains[f[3]].append(c)
+        chains[f[4]].append(c)
     # On one segment the (x, y) order is the order along it, or its reverse
     # when the segment runs toward smaller (x, y).
     for i, chain in enumerate(chains):
         if pts[(i + 1) % n] < pts[i]:
             chain.reverse()
+    # (X, Y, D) is in lowest terms, so crossings at one point have equal
+    # triples, and the key's ties put them next to each other. Two pairs
+    # always name at least three segments.
+    shared: dict[tuple[int, int, int], set[int]] = {}
+    for c in range(1, len(xyd)):
+        if xyd[c] == xyd[c - 1]:
+            shared.setdefault(xyd[c], set(found[c - 1][3:5])).update(found[c][3:5])
     triples = tuple(
-        (p, tuple(sorted(ids))) for p, ids in crossings_at.values() if len(ids) >= 3
+        (_scaled_point(*key, scale), tuple(sorted(ids))) for key, ids in shared.items()
     )
     report = DegeneracyReport(
         triple_points=triples,
@@ -264,9 +289,10 @@ def pair_table(emb: CycleEmbedding) -> PairTable:
     return PairTable(
         report,
         tuple(meets),
-        tuple(points),
+        xyd,
         tuple(map(tuple, chains)),
         tuple(f[5] for f in found),
+        scale,
     )
 
 
@@ -364,7 +390,7 @@ def construct(n: int, seed: int = 0) -> CycleEmbedding:
     if not validate_general_position(emb).is_empty():
         emb = perturb(emb, PERTURB_EPSILON, seed)
     table = pair_table(emb)
-    got = (len(table.points), table.meets.count(n - 1), table.meets.count(n - 2))
+    got = (len(table.xyd), table.meets.count(n - 1), table.meets.count(n - 2))
     want = (max_crossings(n), *construction_splitters(n))
     if got != want:
         raise ConstructionCheckFailed(f"n={n}: (crossings, splitters, one-offs) {got} != {want}")

@@ -13,9 +13,8 @@ reference the tests check that table against.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class PointNotOnSegment(ValueError):
@@ -30,33 +29,39 @@ class Orientation(enum.IntEnum):
     CCW = 1
 
 
-@dataclass(frozen=True)
-class Point:
-    """Immutable exact point; coordinates are normalised to Fraction."""
-
+class _PointFields(NamedTuple):
     x: Fraction
     y: Fraction
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
+
+class Point(_PointFields):
+    """Immutable exact point; coordinates are normalised to Fraction."""
+
+    __slots__ = ()
+
+    def __new__(cls, x, y) -> "Point":
+        return super().__new__(cls, Fraction(x), Fraction(y))
 
 
-@dataclass(frozen=True)
-class Segment:
+class _SegmentFields(NamedTuple):
+    a: Point
+    b: Point
+    cycle_index: int = 0
+
+
+class Segment(_SegmentFields):
     """Closed segment from a to b.
 
     cycle_index records which cycle connection the segment embeds; it is 0
     for free-standing segments built in tests or tools.
     """
 
-    a: Point
-    b: Point
-    cycle_index: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a == self.b:
+    def __new__(cls, a: Point, b: Point, cycle_index: int = 0) -> "Segment":
+        if a == b:
             raise ValueError("segment endpoints coincide")
+        return super().__new__(cls, a, b, cycle_index)
 
 
 class IntersectionKind(enum.Enum):
@@ -66,8 +71,7 @@ class IntersectionKind(enum.Enum):
     COLLINEAR_OVERLAP = "collinear_overlap"
 
 
-@dataclass(frozen=True)
-class Intersection:
+class Intersection(NamedTuple):
     """Classification of how two segments meet, with the witness point
     for the two single-point kinds."""
 

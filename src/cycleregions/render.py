@@ -1,15 +1,15 @@
 """Deterministic SVG rendering of cycle embeddings.
 
 Output is plain SVG 1.1 text built by string assembly; identical inputs
-produce identical bytes. Rational coordinates are converted to decimals
-with six fractional digits only here, after all exact work is done.
+produce identical bytes. Each corner's exact screen position is computed
+once and only then converted to a float, which is printed with six
+fractional digits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arrangement import DegenerateInput, SegmentClass, splitter_analysis
 from .embedding import CycleEmbedding
@@ -18,8 +18,7 @@ MARGIN = Fraction(5, 100)  # of the viewport, on every side
 STROKE_WIDTH = 2.0
 
 
-@dataclass(frozen=True)
-class RenderOptions:
+class RenderOptions(NamedTuple):
     width: int = 640
     height: int = 640
     label_corners: bool = True
@@ -60,15 +59,15 @@ def to_svg(emb: CycleEmbedding, options: Optional[RenderOptions] = None) -> str:
     if spany > 0:
         scales.append(avail_y / spany)
     s = min(scales) if scales else Fraction(1)
-    # Centre the drawing in the viewport; y flips because SVG grows down.
+    # Centre the drawing in the viewport.
     off_x = (Fraction(opts.width) - s * spanx) / 2
     off_y = (Fraction(opts.height) - s * spany) / 2
 
-    def sx(x: Fraction) -> float:
-        return float(off_x + s * (x - minx))
-
-    def sy(y: Fraction) -> float:
-        return float(off_y + s * (maxy - y))
+    # Screen position of every corner; y flips because SVG grows down.
+    screen = [
+        (float(off_x + s * (p.x - minx)), float(off_y + s * (maxy - p.y)))
+        for p in emb.corners
+    ]
 
     splitter_flags = [False] * emb.n
     if opts.highlight_splitters:
@@ -88,33 +87,32 @@ def to_svg(emb: CycleEmbedding, options: Optional[RenderOptions] = None) -> str:
     ]
     if opts.shade_regions:
         steps = [
-            f"{'M' if i == 0 else 'L'} {_fmt(sx(p.x))} {_fmt(sy(p.y))}"
-            for i, p in enumerate(emb.corners)
+            f"{'M' if i == 0 else 'L'} {_fmt(x)} {_fmt(y)}" for i, (x, y) in enumerate(screen)
         ]
         parts.append(
             f'<path d="{" ".join(steps)} Z" fill="{opts.fill}" '
             'fill-rule="evenodd" stroke="none"/>'
         )
     for i in range(emb.n):
-        a = emb.corners[i]
-        b = emb.corners[(i + 1) % emb.n]
+        ax, ay = screen[i]
+        bx, by = screen[(i + 1) % emb.n]
         color = opts.splitter_stroke if splitter_flags[i] else opts.stroke
         wide = STROKE_WIDTH * 1.75 if splitter_flags[i] else STROKE_WIDTH
         cls = "segment splitter" if splitter_flags[i] else "segment"
         parts.append(
-            f'<line class="{cls}" x1="{_fmt(sx(a.x))}" y1="{_fmt(sy(a.y))}" '
-            f'x2="{_fmt(sx(b.x))}" y2="{_fmt(sy(b.y))}" '
+            f'<line class="{cls}" x1="{_fmt(ax)}" y1="{_fmt(ay)}" '
+            f'x2="{_fmt(bx)}" y2="{_fmt(by)}" '
             f'stroke="{color}" stroke-width="{_fmt(wide)}"/>'
         )
-    for i, p in enumerate(emb.corners):
+    for i, (x, y) in enumerate(screen):
         parts.append(
-            f'<circle class="corner" cx="{_fmt(sx(p.x))}" cy="{_fmt(sy(p.y))}" '
+            f'<circle class="corner" cx="{_fmt(x)}" cy="{_fmt(y)}" '
             f'r="{_fmt(STROKE_WIDTH * 1.6)}" fill="{opts.stroke}"/>'
         )
         if opts.label_corners:
             parts.append(
-                f'<text class="corner-label" x="{_fmt(sx(p.x) + 6.0)}" '
-                f'y="{_fmt(sy(p.y) - 6.0)}" font-size="14" '
+                f'<text class="corner-label" x="{_fmt(x + 6.0)}" '
+                f'y="{_fmt(y - 6.0)}" font-size="14" '
                 f'font-family="monospace" fill="{opts.stroke}">{i}</text>'
             )
     parts.append("</svg>")

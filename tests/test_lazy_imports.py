@@ -103,6 +103,24 @@ def test_count_loads_neither_search_nor_render(tmp_path):
     assert loaded.isdisjoint(["cycleregions.search", "cycleregions.render"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--n", "6", "--out", "{dir}/c6.txt"],
+        ["count", "{dir}/c6.txt"],
+        ["render", "{dir}/c6.txt", "--highlight-splitters", "--out", "{dir}/c6.svg"],
+        ["verify", "--n-max", "6"],
+        ["search", "--n", "8", "--trials", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_geometry_commands_load_neither_dataclasses_nor_inspect(tmp_path, argv):
+    cycleregions.save_embedding(cycleregions.construct(6), str(tmp_path / "c6.txt"))
+    loaded = loaded_after(RUN_CLI, *(arg.format(dir=tmp_path) for arg in argv))
+    assert "cycleregions.geometry" in loaded  # the run did reach the geometry
+    assert loaded.isdisjoint(["dataclasses", "inspect"])
+
+
 def test_import_loads_a_layer_only_on_first_use():
     assert not any(m.startswith("cycleregions.") for m in loaded_after("import cycleregions"))
     loaded = loaded_after("import cycleregions\ncycleregions.f_max")
