@@ -1,8 +1,8 @@
 """What every public consumer of a drawing does with each kind of degeneracy.
 
-Six small drawings, one per kind, go through the general-position check,
-both region counters, splitter analysis and the splitter-highlighting
-renderer. The counters refuse them all; splitter analysis and rendering
+Seven small drawings, one per kind and one with two triple points, go
+through the general-position check, both region counters, splitter
+analysis and the splitter-highlighting renderer. The counters refuse them all; splitter analysis and rendering
 still work where one intersection per segment pair is well defined.
 """
 
@@ -37,6 +37,10 @@ def on_polygon(k, labels):
 
 DRAWINGS = {
     "triple_point": on_polygon(6, (0, 3, 1, 4, 2, 5)),
+    # The triple point first in (x, y) order is not the one on segment 0.
+    "two_triple_points": CycleEmbedding(
+        8, (P(4, 2), P(3, 3), P(1, 0), P(4, 3), P(0, 2), P(4, 1), P(3, 4), P(0, 1))
+    ),
     "corner_incidence": CycleEmbedding(5, (P(0, 0), P(4, 0), P(4, 4), P(2, 0), P(0, 4))),
     "collinear_overlap": CycleEmbedding(4, (P(0, 0), P(2, 0), P(1, 0), P(1, 2))),
     "coincident_corners": on_polygon(4, (0, 1, 0, 3)),
@@ -46,6 +50,12 @@ DRAWINGS = {
 
 REPORTS = {
     "triple_point": DegeneracyReport(triple_points=((P(0, 0), (0, 2, 4)),)),
+    "two_triple_points": DegeneracyReport(
+        triple_points=(
+            (Point(Fraction(2), Fraction(3, 2)), (1, 4, 7)),
+            (Point(Fraction(7, 2), Fraction(5, 2)), (0, 2, 5)),
+        )
+    ),
     "corner_incidence": DegeneracyReport(corner_incidences=((3, 0),)),
     "collinear_overlap": DegeneracyReport(
         corner_incidences=((2, 0),), collinear_overlaps=((0, 1),)
@@ -60,6 +70,7 @@ REPORTS = {
 # Segments met per segment, or the exception splitter_analysis raises.
 SPLITTERS = {
     "triple_point": [5, 4, 4, 4, 5, 2],
+    "two_triple_points": [5, 5, 6, 6, 6, 6, 4, 6],
     "corner_incidence": [4, 2, 3, 3, 2],
     "collinear_overlap": DegenerateInput,
     "coincident_corners": DegenerateInput,
@@ -70,6 +81,7 @@ SPLITTERS = {
 # Splitter lines in the highlighted SVG, or the exception to_svg raises.
 SVG_SPLITTER_LINES = {
     "triple_point": 2,
+    "two_triple_points": 0,
     "corner_incidence": 1,
     "collinear_overlap": 0,
     "coincident_corners": 0,

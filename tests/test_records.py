@@ -1,13 +1,14 @@
 """The package's records are typing.NamedTuples: they keep the checks and
 normalisation they always had, and behave as tuples of their fields."""
 
+import hashlib
 import itertools
 from fractions import Fraction
 
 import pytest
 
 from cycleregions.arrangement import VertexKind, build_arrangement
-from cycleregions.embedding import CycleEmbedding, DegeneracyReport, construct
+from cycleregions.embedding import CycleEmbedding, DegeneracyReport, construct, pair_table
 from cycleregions.formulas import InvalidN
 from cycleregions.geometry import (
     IntersectionKind,
@@ -67,3 +68,36 @@ def test_arrangement_vertices_are_the_pairwise_crossings(n):
             pairwise.add(hit.point)
     assert crossings == pairwise
     assert len(crossings) == arr.vertex_count - n  # no two crossings coincide
+
+
+# sha256 of the crossings as text: `vertices` one "kind x y" line each, and
+# the pair table's `crossings` one line per segment. They pin the exact
+# values, the (x, y) order of `vertices` and each chain's order along its
+# segment.
+VERTICES = {
+    40: "a4d12e26afb28a50ecfe348e0663df7fd16e439489c0895c260351c213ebcb09",
+    41: "00de804936d56f487ce62e88a567207692334439f755e107a21ecdaa6679975c",
+}
+CROSSINGS = {
+    40: "20c91e49b33e527b3123335aebd0a28fbb71f3c70595e4eb069352f498ad2932",
+    41: "ab06b5f7416e5167c07d6b9bf051af42ccf49a009d168ffabc8d89469ee4969e",
+}
+
+
+def _rational(v):
+    return f"{v.numerator}/{v.denominator}"
+
+
+@pytest.mark.parametrize("n", sorted(VERTICES))
+def test_vertices_and_crossings_digests(n):
+    emb = construct(n)
+    vertices = "".join(
+        f"{kind.value} {_rational(p.x)} {_rational(p.y)}\n"
+        for p, kind in build_arrangement(emb).vertices
+    )
+    crossings = "".join(
+        " ".join(f"{_rational(p.x)},{_rational(p.y)}" for p in chain) + "\n"
+        for chain in pair_table(emb).crossings
+    )
+    assert hashlib.sha256(vertices.encode("ascii")).hexdigest() == VERTICES[n]
+    assert hashlib.sha256(crossings.encode("ascii")).hexdigest() == CROSSINGS[n]
