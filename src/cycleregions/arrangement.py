@@ -6,9 +6,10 @@ crossings, ordered along it, is the subdivision, which is connected since
 each chain joins two corners and neighbouring segments share one. The
 Euler counter reads E - V + 1, which build_arrangement evaluates from the
 chain lengths. The traversal counter never touches that identity: it
-orders the edge ends around each crossing from the sign of the crossing
-segments' cross product and counts the orbits of the face-walk
-permutation, so the two agreeing checks the counting, not the shared pair
+numbers the two directed copies (darts) of every edge, orders the darts
+leaving each crossing from the sign of the crossing segments' cross
+product, and counts the orbits of the face-walk permutation on the darts,
+so the two agreeing checks the counting, not the shared pair
 classification.
 """
 
@@ -53,8 +54,9 @@ class Arrangement(NamedTuple):
     def vertices(self) -> tuple[tuple[Point, VertexKind], ...]:
         """The corners in cycle order, then the proper crossings in (x, y)
         order, each with its kind."""
+        points = self.table.points
         return tuple((p, VertexKind.CORNER) for p in self.corners) + tuple(
-            (p, VertexKind.CROSSING) for p in self.table.points
+            (points[c], VertexKind.CROSSING) for c in self.table.xy_order
         )
 
 
@@ -107,7 +109,7 @@ def build_arrangement(emb: CycleEmbedding) -> Arrangement:
     """
     table = _general_position_table(emb)
     per_segment = tuple((len(chain) + 2, len(chain) + 1) for chain in table.chains)
-    v = emb.n + len(table.xyd)
+    v = emb.n + len(table.signs)
     e = sum(edges for _, edges in per_segment)
     return Arrangement(v, e, e - v + 1, per_segment, emb.corners, table)
 
@@ -122,47 +124,60 @@ def region_count_traversal(emb: CycleEmbedding) -> int:
     """Bounded regions counted by walking faces, independent of the
     E - V + 1 identity.
 
-    Each directed edge (u, v) continues to the neighbour preceding u in
-    the counterclockwise order around v; orbits of that successor map are
-    the faces of the embedding, one of which is unbounded. A corner has
-    two neighbours, so either order is counterclockwise. At a crossing of
-    segments i < j the edge ends point along +u_i, +u_j, -u_i, -u_j in
+    The edges are numbered along the segments in cycle order, each
+    segment's from corner i toward corner i+1. Edge e has darts 2e, which
+    runs forward along its segment, and 2e+1, which runs back, so the twin
+    of dart d is d ^ 1. prev[d] is the dart leaving d's origin just before
+    d in counterclockwise order. A face continues from dart d, which ends
+    at v, with prev[d ^ 1], the dart leaving v just before the way back;
+    the orbits of that map are the faces, one of which is unbounded. A
+    corner has two darts, so each precedes the other. At a crossing of
+    segments i < j the darts point along +u_i, +u_j, -u_i, -u_j in
     counterclockwise order when cross(u_i, u_j) > 0, and along +u_i, -u_j,
     -u_i, +u_j otherwise.
     """
     table = _general_position_table(emb)
-    n = emb.n
-    # Segment i's vertex ids run from corner i through its crossings to
-    # corner i+1; crossing c is vertex n + c.
-    chains = [
-        (i, *(n + c for c in chain), (i + 1) % n) for i, chain in enumerate(table.chains)
-    ]
-    ccw: list[list[int]] = [[] for _ in range(n + len(table.xyd))]
-    for chain in chains:
-        ccw[chain[0]].append(chain[1])
-        ccw[chain[-1]].append(chain[-2])
-        for back, v, ahead in zip(chain, chain[1:], chain[2:]):
-            ccw[v] += (ahead, back)
-    # Segment i's chain comes first, so each crossing holds
-    # [+u_i, -u_i, +u_j, -u_j] until it is reordered here.
-    for c, sign in enumerate(table.signs):
-        ahead_i, back_i, ahead_j, back_j = ccw[n + c]
-        if sign > 0:
-            ccw[n + c] = [ahead_i, ahead_j, back_i, back_j]
-        else:
-            ccw[n + c] = [ahead_i, back_j, back_i, ahead_j]
-    seen: set[tuple[int, int]] = set()
+    signs = table.signs
+    darts = 2 * (emb.n + 2 * len(signs))
+    prev = [0] * darts
+    # first[c] is the forward dart leaving crossing c along its lower
+    # segment, or 0 before that segment is reached.
+    first = [0] * len(signs)
+    # Walking segment i from corner i, f is the forward dart leaving the
+    # current vertex and f - 1 the backward dart of the edge arriving there,
+    # which leaves it too. At corner 0, f - 1 is -1: prev[-1] is the last
+    # dart, and prev[0] gets that dart's index below.
+    f = 0
+    for chain in table.chains:
+        prev[f] = f - 1
+        prev[f - 1] = f
+        for c in chain:
+            f += 2
+            h = first[c]
+            if not h:
+                first[c] = f
+            elif signs[c] > 0:
+                prev[f] = h
+                prev[h - 1] = f
+                prev[f - 1] = h - 1
+                prev[h] = f - 1
+            else:
+                prev[f - 1] = h
+                prev[h - 1] = f - 1
+                prev[f] = h - 1
+                prev[h] = f
+        f += 2
+    prev[0] = darts - 1
+    seen = bytearray(darts)
     faces = 0
-    for u, neigh in enumerate(ccw):
-        for v in neigh:
-            if (u, v) in seen:
-                continue
-            faces += 1
-            cu, cv = u, v
-            while (cu, cv) not in seen:
-                seen.add((cu, cv))
-                order = ccw[cv]
-                cu, cv = cv, order[order.index(cu) - 1]
+    for start in range(darts):
+        if seen[start]:
+            continue
+        faces += 1
+        d = start
+        while not seen[d]:
+            seen[d] = 1
+            d = prev[d ^ 1]
     return faces - 1
 
 

@@ -50,7 +50,15 @@ def _emit(args, pairs: list[tuple[str, object]]) -> None:
             print(f"{key}: {v}")
 
 
+def _check_seed(seed: int) -> None:
+    # random.Random seeds an int by its absolute value, so -s would
+    # silently repeat the run of s.
+    if seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {seed}")
+
+
 def cmd_construct(args) -> int:
+    _check_seed(args.seed)
     from .arrangement import build_arrangement
     from .embedding import construct, save_embedding
 
@@ -142,6 +150,7 @@ def verify_rows(n_min: int, n_max: int, seed: int) -> list[VerifyRow]:
 
 
 def cmd_verify(args) -> int:
+    _check_seed(args.seed)
     if args.n_min < 3 or args.n_max < args.n_min:
         raise ValueError(f"bad range [{args.n_min}, {args.n_max}]")
     rows = verify_rows(args.n_min, args.n_max, args.seed)
@@ -183,6 +192,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_search(args) -> int:
+    _check_seed(args.seed)
     from .search import random_search
 
     best, _ = random_search(args.n, args.trials, args.seed)

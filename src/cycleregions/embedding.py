@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import random
 import re
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, NamedTuple, Optional, Union
 
 # construct raises ConstructionNotACycle, so embedding exports it too.
@@ -116,29 +118,46 @@ class PairTable(NamedTuple):
     """A drawing's DegeneracyReport, how many other segments each segment
     meets, and its proper crossings.
 
-    Crossings stay integers: with (X, Y, D) = xyd[c], crossing c is the
-    point (X / (D * scale), Y / (D * scale)), and `points` builds those
-    Points when read. Crossing ids follow the points' (x, y) order.
-    chains[i] lists the ids of segment i's crossings from corner i toward
-    corner i+1, and signs[c] is the sign of cross(u_i, u_j) for the
-    directions u_i, u_j of the crossing's two segments, i < j. Everything
-    but the report and scale is None when adjacent corners coincide, since
-    a collapsed segment has no pairs.
+    Crossing ids follow pair order: crossing c is the c-th properly
+    crossing pair (i, j), i < j, in lexicographic order. chains[i] lists
+    the ids of segment i's crossings from corner i toward corner i+1, and
+    signs[c] is the sign of cross(u_i, u_j) for the directions u_i, u_j of
+    the crossing's two segments. Crossings stay integers: `corners` holds
+    the corners scaled by `scale` to integers, and the crossing points, as
+    `xyd`, `points` or `crossings`, and their (x, y) order, as `xy_order`,
+    are built from them only when read. Everything but the report, the
+    corners and scale is None when adjacent corners coincide, since a
+    collapsed segment has no pairs.
     """
 
     report: DegeneracyReport
     meets: Optional[tuple[int, ...]]
-    xyd: Optional[tuple[tuple[int, int, int], ...]]
     chains: Optional[tuple[tuple[int, ...], ...]]
     signs: Optional[tuple[int, ...]]
+    corners: tuple[tuple[int, int], ...]
     scale: int
+
+    @property
+    def xyd(self) -> Optional[tuple[tuple[int, int, int], ...]]:
+        """Each proper crossing as lowest-terms integers (X, Y, D): crossing
+        c is the point (X / (D * scale), Y / (D * scale)) for xyd[c]."""
+        if self.chains is None:
+            return None
+        return _crossing_xyd(self.chains, self.corners)
 
     @property
     def points(self) -> Optional[tuple[Point, ...]]:
         """Each proper crossing as a Point; crossing c is points[c]."""
-        if self.xyd is None:
+        if self.chains is None:
             return None
         return _crossing_points(self.xyd, self.scale)
+
+    @property
+    def xy_order(self) -> Optional[tuple[int, ...]]:
+        """The crossing ids in the (x, y) order of their points."""
+        if self.chains is None:
+            return None
+        return _xy_order(self.xyd)
 
     @property
     def crossings(self) -> Optional[tuple[tuple[Point, ...], ...]]:
@@ -153,9 +172,53 @@ def _scaled_point(x: int, y: int, d: int, scale: int) -> Point:
     return Point(Fraction(x, d * scale), Fraction(y, d * scale))
 
 
+def _meet(pts: tuple[tuple[int, int], ...], i: int, j: int) -> tuple[int, int, int]:
+    """Lowest-terms (X, Y, D), D > 0, of the point (X/D, Y/D) where the
+    lines of segments i and j of the integer corners pts meet."""
+    n = len(pts)
+    (ax, ay), (bx, by) = pts[i], pts[(i + 1) % n]
+    (cx, cy), (dx, dy) = pts[j], pts[(j + 1) % n]
+    vx, vy = dx - cx, dy - cy
+    # Segment j's line meets segment i's at t / q of the way along it.
+    t = vx * (ay - cy) - vy * (ax - cx)
+    q = t - (vx * (by - cy) - vy * (bx - cx))
+    x = ax * q + t * (bx - ax)
+    y = ay * q + t * (by - ay)
+    g = math.gcd(x, y, q)
+    if q < 0:
+        g = -g
+    return x // g, y // g, q // g
+
+
+def _crossing_ends(chains: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+    """ends[c] = [i, j], the segments i < j of crossing c."""
+    ends: list[list[int]] = [[] for _ in range(sum(map(len, chains)) // 2)]
+    for s, chain in enumerate(chains):
+        for c in chain:
+            ends[c].append(s)
+    return ends
+
+
+@functools.lru_cache(maxsize=1)
+def _crossing_xyd(
+    chains: tuple[tuple[int, ...], ...], pts: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, int, int], ...]:
+    return tuple(_meet(pts, i, j) for i, j in _crossing_ends(chains))
+
+
 @functools.lru_cache(maxsize=1)
 def _crossing_points(xyd: tuple[tuple[int, int, int], ...], scale: int) -> tuple[Point, ...]:
     return tuple(_scaled_point(x, y, d, scale) for x, y, d in xyd)
+
+
+@functools.lru_cache(maxsize=1)
+def _xy_order(xyd: tuple[tuple[int, int, int], ...]) -> tuple[int, ...]:
+    # Two distinct rationals whose denominators are at most dmax, the
+    # largest D, differ by at least 1/dmax^2, so scaling by dmax^2 and
+    # flooring keeps their order and their ties: an exact integer key.
+    k = max((d for _, _, d in xyd), default=1) ** 2
+    keys = [(x * k // d, y * k // d) for x, y, d in xyd]
+    return tuple(sorted(range(len(xyd)), key=keys.__getitem__))
 
 
 def _between(a: int, v: int, b: int) -> bool:
@@ -173,14 +236,17 @@ def pair_table(emb: CycleEmbedding) -> PairTable:
     classification, is that of the exact rational drawing. Every pair,
     touches and collinear overlaps included, is decided from the table of
     orientations and, for collinear pairs, a projection on one segment's
-    direction; no pair leaves integer arithmetic.
+    direction; no pair leaves integer arithmetic. Each proper crossing is
+    kept as its exact parameter along each of its two segments, which
+    orders the segments' chains and finds triple points without building
+    a crossing point.
     """
     n = emb.n
     scale = math.lcm(*(c.denominator for p in emb.corners for c in (p.x, p.y)))
-    pts = [
+    pts = tuple(
         (p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
         for p in emb.corners
-    ]
+    )
     coincident = tuple(
         (i, j) for i in range(n) for j in range(i + 1, n) if pts[i] == pts[j]
     )
@@ -188,7 +254,7 @@ def pair_table(emb: CycleEmbedding) -> PairTable:
     # further can be measured, so report just the coincidences.
     if any((j - i) % n in (1, n - 1) for i, j in coincident):
         return PairTable(
-            DegeneracyReport(coincident_corners=coincident), None, None, None, None, scale
+            DegeneracyReport(coincident_corners=coincident), None, None, None, pts, scale
         )
 
     # side[s][k] = cross(corner s, corner s+1, corner k): its sign tells
@@ -214,10 +280,14 @@ def pair_table(emb: CycleEmbedding) -> PairTable:
                 incidences.append((k, s))
 
     overlaps = []
-    found = []  # (X, Y, D, i, j, sign): the crossing (X/D, Y/D) of segments i < j
+    signs: list[int] = []
+    # along[s] holds (a, q, c) for each crossing c at a/q of the way along
+    # segment s from corner s, with 0 < a < q.
+    along: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     meets = [0] * n
     for i in range(n):
         si = side[i]
+        on_i = along[i]
         i1 = (i + 1) % n
         ax, ay = pts[i]
         ux, uy = pts[i1][0] - ax, pts[i1][1] - ay
@@ -232,15 +302,19 @@ def pair_table(emb: CycleEmbedding) -> PairTable:
                 if (d3 > 0 and d4 > 0) or (d3 < 0 and d4 < 0):
                     continue
                 # The lines differ and neither segment lies strictly on one side
-                # of the other's line, so they meet: inside both (at d3/(d3-d4)
-                # along segment i) when all four signs are strict, else in a touch.
+                # of the other's line, so they meet: inside both when all four
+                # signs are strict, else in a touch. Segment j's line crosses
+                # segment i at d3/(d3-d4) along it, segment i's line crosses
+                # segment j at d1/(d1-d2), and d2 - d1 = cross(u_i, u_j).
                 if d1 and d2 and d3 and d4:
-                    t, q = (d3, d3 - d4) if d3 > d4 else (-d3, d4 - d3)
-                    x = ax * q + t * ux
-                    y = ay * q + t * uy
-                    g = math.gcd(x, y, q)
-                    # d2 - d1 = cross(u_i, u_j), and d1, d2 have opposite signs.
-                    found.append((x // g, y // g, q // g, i, j, 1 if d2 > 0 else -1))
+                    c = len(signs)
+                    on_i.append((d3, d3 - d4, c) if d3 > 0 else (-d3, d4 - d3, c))
+                    if d1 > 0:
+                        along[j].append((d1, d1 - d2, c))
+                        signs.append(-1)
+                    else:
+                        along[j].append((-d1, d2 - d1, c))
+                        signs.append(1)
             else:
                 # Segment j lies on segment i's line, whose span along u_i is
                 # [0, u_i.u_i]. A gap is disjoint, one point a touch, more an overlap.
@@ -254,31 +328,37 @@ def pair_table(emb: CycleEmbedding) -> PairTable:
             meets[i] += 1
             meets[j] += 1
 
-    # Two distinct rationals whose denominators are at most dmax, the
-    # largest D, differ by at least 1/dmax^2, so scaling by dmax^2 and
-    # flooring keeps their order and their ties: an exact integer key for
-    # the (x, y) order.
-    key_scale = max((f[2] for f in found), default=1) ** 2
-    found.sort(key=lambda f: (f[0] * key_scale // f[2], f[1] * key_scale // f[2]))
-    xyd = tuple(f[:3] for f in found)
-    chains: list[list[int]] = [[] for _ in range(n)]
-    for c, f in enumerate(found):
-        chains[f[3]].append(c)
-        chains[f[4]].append(c)
-    # On one segment the (x, y) order is the order along it, or its reverse
-    # when the segment runs toward smaller (x, y).
-    for i, chain in enumerate(chains):
-        if pts[(i + 1) % n] < pts[i]:
-            chain.reverse()
-    # (X, Y, D) is in lowest terms, so crossings at one point have equal
-    # triples, and the key's ties put them next to each other. Two pairs
-    # always name at least three segments.
+    # Two distinct fractions a/q in one list, whose q are at most qmax,
+    # differ by at least 1/qmax^2, so shifting a left by twice qmax's bit
+    # length and flooring by q keeps their order and their ties: an exact
+    # integer key for the order along the segment.
+    chains = []
+    ties = []  # pairs of crossings at one point of a segment
+    for on in along:
+        if len(on) < 2:
+            chains.append(tuple(c for _, _, c in on))
+            continue
+        nums, dens, ids = zip(*on)
+        shift = 2 * max(dens).bit_length()
+        keys = list(map(operator.floordiv, map(operator.lshift, nums, repeat(shift)), dens))
+        by_key = dict(zip(keys, ids))
+        if len(by_key) == len(ids):
+            chains.append(tuple(map(by_key.__getitem__, sorted(by_key))))
+            continue
+        keyed = sorted(zip(keys, ids))
+        chains.append(tuple(c for _, c in keyed))
+        for m in range(1, len(keyed)):
+            if keyed[m][0] == keyed[m - 1][0]:
+                ties.append((keyed[m - 1][1], keyed[m][1]))
+    chains = tuple(chains)
+    # Two crossings at one point of a segment name at least three segments.
     shared: dict[tuple[int, int, int], set[int]] = {}
-    for c in range(1, len(xyd)):
-        if xyd[c] == xyd[c - 1]:
-            shared.setdefault(xyd[c], set(found[c - 1][3:5])).update(found[c][3:5])
+    if ties:
+        ends = _crossing_ends(chains)
+        for c, c2 in ties:
+            shared.setdefault(_meet(pts, *ends[c]), set()).update(ends[c], ends[c2])
     triples = tuple(
-        (_scaled_point(*key, scale), tuple(sorted(ids))) for key, ids in shared.items()
+        sorted((_scaled_point(*key, scale), tuple(sorted(ids))) for key, ids in shared.items())
     )
     report = DegeneracyReport(
         triple_points=triples,
@@ -286,14 +366,7 @@ def pair_table(emb: CycleEmbedding) -> PairTable:
         collinear_overlaps=tuple(overlaps),
         coincident_corners=coincident,
     )
-    return PairTable(
-        report,
-        tuple(meets),
-        xyd,
-        tuple(map(tuple, chains)),
-        tuple(f[5] for f in found),
-        scale,
-    )
+    return PairTable(report, tuple(meets), chains, tuple(signs), pts, scale)
 
 
 def validate_general_position(emb: CycleEmbedding) -> DegeneracyReport:
@@ -390,7 +463,7 @@ def construct(n: int, seed: int = 0) -> CycleEmbedding:
     if not validate_general_position(emb).is_empty():
         emb = perturb(emb, PERTURB_EPSILON, seed)
     table = pair_table(emb)
-    got = (len(table.xyd), table.meets.count(n - 1), table.meets.count(n - 2))
+    got = (len(table.signs), table.meets.count(n - 1), table.meets.count(n - 2))
     want = (max_crossings(n), *construction_splitters(n))
     if got != want:
         raise ConstructionCheckFailed(f"n={n}: (crossings, splitters, one-offs) {got} != {want}")

@@ -290,3 +290,24 @@ def test_unknown_command_is_bad_input(capsys):
 
 def test_missing_required_flag(capsys):
     assert main(["construct", "--out", "x.txt"]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("construct", "--n", "8", "--seed", "-1"),
+        ("verify", "--n-max", "5", "--seed", "-1"),
+        ("search", "--n", "8", "--trials", "40", "--seed", "-1"),
+    ],
+)
+def test_negative_seed_is_bad_input(argv, tmp_path, capsys):
+    # random.Random(-s) equals random.Random(s), so a negative seed would
+    # print itself while repeating the run of its absolute value.
+    out_file = tmp_path / "c.txt"
+    if argv[0] == "construct":
+        argv = (*argv, "--out", str(out_file))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "bad input: --seed must be non-negative, got -1\n"
+    assert not out_file.exists()
