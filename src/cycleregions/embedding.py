@@ -155,9 +155,15 @@ class PairTable(NamedTuple):
     @property
     def xy_order(self) -> Optional[tuple[int, ...]]:
         """The crossing ids in the (x, y) order of their points."""
-        if self.chains is None:
+        xyd = self.xyd
+        if xyd is None:
             return None
-        return _xy_order(self.xyd)
+        # Two distinct rationals whose denominators are at most dmax, the
+        # largest D, differ by at least 1/dmax^2, so scaling by dmax^2 and
+        # flooring keeps their order and their ties: an exact integer key.
+        k = max((d for _, _, d in xyd), default=1) ** 2
+        keys = [(x * k // d, y * k // d) for x, y, d in xyd]
+        return tuple(sorted(range(len(xyd)), key=keys.__getitem__))
 
     @property
     def crossings(self) -> Optional[tuple[tuple[Point, ...], ...]]:
@@ -211,25 +217,19 @@ def _crossing_points(xyd: tuple[tuple[int, int, int], ...], scale: int) -> tuple
     return tuple(_scaled_point(x, y, d, scale) for x, y, d in xyd)
 
 
-@functools.lru_cache(maxsize=1)
-def _xy_order(xyd: tuple[tuple[int, int, int], ...]) -> tuple[int, ...]:
-    # Two distinct rationals whose denominators are at most dmax, the
-    # largest D, differ by at least 1/dmax^2, so scaling by dmax^2 and
-    # flooring keeps their order and their ties: an exact integer key.
-    k = max((d for _, _, d in xyd), default=1) ** 2
-    keys = [(x * k // d, y * k // d) for x, y, d in xyd]
-    return tuple(sorted(range(len(xyd)), key=keys.__getitem__))
-
-
 def _between(a: int, v: int, b: int) -> bool:
     return a <= v <= b or b <= v <= a
 
 
-@functools.lru_cache(maxsize=1)
+_latest: list = [None, None]  # the latest drawing and its pair table
+
+
 def pair_table(emb: CycleEmbedding) -> PairTable:
     """Classify the n(n-1)/2 segment pairs once, in integers; validation,
     subdivision, the face walk and splitter analysis all read the table
-    kept for the latest drawing.
+    kept for the latest drawing. That drawing is recognised by identity,
+    because hashing its Fraction corners costs about a seventh of building
+    its table.
 
     The corners are scaled by the lcm of their denominators. That is a
     similarity map, so every orientation sign, and with it every
@@ -241,6 +241,12 @@ def pair_table(emb: CycleEmbedding) -> PairTable:
     orders the segments' chains and finds triple points without building
     a crossing point.
     """
+    if emb is not _latest[0]:
+        _latest[:] = emb, _pair_table(emb)
+    return _latest[1]
+
+
+def _pair_table(emb: CycleEmbedding) -> PairTable:
     n = emb.n
     scale = math.lcm(*(c.denominator for p in emb.corners for c in (p.x, p.y)))
     pts = tuple(
