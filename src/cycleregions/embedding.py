@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import random
 import re
 from fractions import Fraction
-from itertools import repeat
 from typing import Iterable, NamedTuple, Optional, Union
 
 # construct raises ConstructionNotACycle, so embedding exports it too.
@@ -253,7 +251,7 @@ def _pair_table(emb: CycleEmbedding) -> PairTable:
         (p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
         for p in emb.corners
     )
-    coincident = tuple(
+    coincident = () if len(set(pts)) == n else tuple(
         (i, j) for i in range(n) for j in range(i + 1, n) if pts[i] == pts[j]
     )
     # Coinciding adjacent corners collapse a segment entirely; nothing
@@ -273,9 +271,13 @@ def _pair_table(emb: CycleEmbedding) -> PairTable:
         side.append([ux * (y - ay) - uy * (x - ax) for x, y in pts])
 
     incidences = []
-    for k, p in enumerate(pts):
+    for k, (p, col) in enumerate(zip(pts, zip(*side))):
+        # col[s] = side[s][k] is 0 for corner k's own two segments, and for
+        # any other segment whose line passes through corner k.
+        if col.count(0) == 2:
+            continue
         for s in range(n):
-            if side[s][k] or s in (k, (k - 1) % n):
+            if col[s] or s in (k, (k - 1) % n):
                 continue
             a, b = pts[s], pts[(s + 1) % n]
             if (
@@ -344,14 +346,12 @@ def _pair_table(emb: CycleEmbedding) -> PairTable:
         if len(on) < 2:
             chains.append(tuple(c for _, _, c in on))
             continue
-        nums, dens, ids = zip(*on)
-        shift = 2 * max(dens).bit_length()
-        keys = list(map(operator.floordiv, map(operator.lshift, nums, repeat(shift)), dens))
-        by_key = dict(zip(keys, ids))
-        if len(by_key) == len(ids):
+        shift = 2 * max([q for _, q, _ in on]).bit_length()
+        by_key = {(a << shift) // q: c for a, q, c in on}
+        if len(by_key) == len(on):
             chains.append(tuple(map(by_key.__getitem__, sorted(by_key))))
             continue
-        keyed = sorted(zip(keys, ids))
+        keyed = sorted(((a << shift) // q, c) for a, q, c in on)
         chains.append(tuple(c for _, c in keyed))
         for m in range(1, len(keyed)):
             if keyed[m][0] == keyed[m - 1][0]:
