@@ -11,6 +11,7 @@ every segment pair, touches and overlaps included, in integer arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import re
@@ -120,11 +121,11 @@ class PairTable(NamedTuple):
     the ids of segment i's crossings from corner i toward corner i+1, and
     signs[c] is the sign of cross(u_i, u_j) for the directions u_i, u_j of
     the crossing's two segments. Crossings stay integers: `corners` holds
-    the corners scaled by `scale` to integers, and the `crossings` module
-    builds the crossing points, as `xyd`, `points` or `crossings`, and
-    their (x, y) order, as `xy_order`, from them only when read. Everything
-    but the report, the corners and scale is None when adjacent corners
-    coincide, since a collapsed segment has no pairs.
+    the corners scaled by `scale` to integers, and the crossing points, as
+    `xyd`, `points` or `crossings`, and their (x, y) order, as `xy_order`,
+    are built from them only when read. Everything but the report, the
+    corners and scale is None when adjacent corners coincide, since a
+    collapsed segment has no pairs.
     """
 
     report: DegeneracyReport
@@ -138,23 +139,29 @@ class PairTable(NamedTuple):
     def xyd(self) -> Optional[tuple[tuple[int, int, int], ...]]:
         """Each proper crossing as lowest-terms integers (X, Y, D): crossing
         c is the point (X / (D * scale), Y / (D * scale)) for xyd[c]."""
-        from .crossings import crossing_xyd
-
-        return None if self.chains is None else crossing_xyd(self.chains, self.corners)
+        if self.chains is None:
+            return None
+        return _crossing_xyd(self.chains, self.corners)
 
     @property
     def points(self) -> Optional[tuple[Point, ...]]:
         """Each proper crossing as a Point; crossing c is points[c]."""
-        from .crossings import crossing_points
-
-        return None if self.chains is None else crossing_points(self.xyd, self.scale)
+        if self.chains is None:
+            return None
+        return _crossing_points(self.xyd, self.scale)
 
     @property
     def xy_order(self) -> Optional[tuple[int, ...]]:
         """The crossing ids in the (x, y) order of their points."""
-        from .crossings import xy_order
-
-        return None if self.chains is None else xy_order(self.xyd)
+        xyd = self.xyd
+        if xyd is None:
+            return None
+        # Two distinct rationals whose denominators are at most dmax, the
+        # largest D, differ by at least 1/dmax^2, so scaling by dmax^2 and
+        # flooring keeps their order and their ties: an exact integer key.
+        k = max((d for _, _, d in xyd), default=1) ** 2
+        keys = [(x * k // d, y * k // d) for x, y, d in xyd]
+        return tuple(sorted(range(len(xyd)), key=keys.__getitem__))
 
     @property
     def crossings(self) -> Optional[tuple[tuple[Point, ...], ...]]:
@@ -163,6 +170,49 @@ class PairTable(NamedTuple):
             return None
         points = self.points
         return tuple(tuple(points[c] for c in chain) for chain in self.chains)
+
+
+def _scaled_point(x: int, y: int, d: int, scale: int) -> Point:
+    return Point(Fraction(x, d * scale), Fraction(y, d * scale))
+
+
+def _meet(pts: tuple[tuple[int, int], ...], i: int, j: int) -> tuple[int, int, int]:
+    """Lowest-terms (X, Y, D), D > 0, of the point (X/D, Y/D) where the
+    lines of segments i and j of the integer corners pts meet."""
+    n = len(pts)
+    (ax, ay), (bx, by) = pts[i], pts[(i + 1) % n]
+    (cx, cy), (dx, dy) = pts[j], pts[(j + 1) % n]
+    vx, vy = dx - cx, dy - cy
+    # Segment j's line meets segment i's at t / q of the way along it.
+    t = vx * (ay - cy) - vy * (ax - cx)
+    q = t - (vx * (by - cy) - vy * (bx - cx))
+    x = ax * q + t * (bx - ax)
+    y = ay * q + t * (by - ay)
+    g = math.gcd(x, y, q)
+    if q < 0:
+        g = -g
+    return x // g, y // g, q // g
+
+
+def _crossing_ends(chains: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+    """ends[c] = [i, j], the segments i < j of crossing c."""
+    ends: list[list[int]] = [[] for _ in range(sum(map(len, chains)) // 2)]
+    for s, chain in enumerate(chains):
+        for c in chain:
+            ends[c].append(s)
+    return ends
+
+
+@functools.lru_cache(maxsize=1)
+def _crossing_xyd(
+    chains: tuple[tuple[int, ...], ...], pts: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, int, int], ...]:
+    return tuple(_meet(pts, i, j) for i, j in _crossing_ends(chains))
+
+
+@functools.lru_cache(maxsize=1)
+def _crossing_points(xyd: tuple[tuple[int, int, int], ...], scale: int) -> tuple[Point, ...]:
+    return tuple(_scaled_point(x, y, d, scale) for x, y, d in xyd)
 
 
 def _between(a: int, v: int, b: int) -> bool:
@@ -201,7 +251,7 @@ def _pair_table(emb: CycleEmbedding) -> PairTable:
         (p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
         for p in emb.corners
     )
-    coincident = () if len(set(pts)) == n else tuple(
+    coincident = tuple(
         (i, j) for i in range(n) for j in range(i + 1, n) if pts[i] == pts[j]
     )
     # Coinciding adjacent corners collapse a segment entirely; nothing
@@ -221,13 +271,9 @@ def _pair_table(emb: CycleEmbedding) -> PairTable:
         side.append([ux * (y - ay) - uy * (x - ax) for x, y in pts])
 
     incidences = []
-    for k, (p, col) in enumerate(zip(pts, zip(*side))):
-        # col[s] = side[s][k] is 0 for corner k's own two segments, and for
-        # any other segment whose line passes through corner k.
-        if col.count(0) == 2:
-            continue
+    for k, p in enumerate(pts):
         for s in range(n):
-            if col[s] or s in (k, (k - 1) % n):
+            if side[s][k] or s in (k, (k - 1) % n):
                 continue
             a, b = pts[s], pts[(s + 1) % n]
             if (
@@ -293,14 +339,7 @@ def _pair_table(emb: CycleEmbedding) -> PairTable:
     chains = []
     ties = []  # pairs of crossings at one point of a segment
     for on in along:
-        if len(on) < 2:
-            chains.append(tuple(c for _, _, c in on))
-            continue
-        shift = 2 * max([q for _, q, _ in on]).bit_length()
-        by_key = {(a << shift) // q: c for a, q, c in on}
-        if len(by_key) == len(on):
-            chains.append(tuple(map(by_key.__getitem__, sorted(by_key))))
-            continue
+        shift = 2 * max([q for _, q, _ in on], default=0).bit_length()
         keyed = sorted(((a << shift) // q, c) for a, q, c in on)
         chains.append(tuple(c for _, c in keyed))
         for m in range(1, len(keyed)):
@@ -308,17 +347,14 @@ def _pair_table(emb: CycleEmbedding) -> PairTable:
                 ties.append((keyed[m - 1][1], keyed[m][1]))
     chains = tuple(chains)
     # Two crossings at one point of a segment name at least three segments.
-    triples = ()
+    shared: dict[tuple[int, int, int], set[int]] = {}
     if ties:
-        from .crossings import crossing_ends, meet, scaled_point
-
-        ends = crossing_ends(chains)
-        shared: dict[tuple[int, int, int], set[int]] = {}
+        ends = _crossing_ends(chains)
         for c, c2 in ties:
-            shared.setdefault(meet(pts, *ends[c]), set()).update(ends[c], ends[c2])
-        triples = tuple(
-            sorted((scaled_point(*key, scale), tuple(sorted(ids))) for key, ids in shared.items())
-        )
+            shared.setdefault(_meet(pts, *ends[c]), set()).update(ends[c], ends[c2])
+    triples = tuple(
+        sorted((_scaled_point(*key, scale), tuple(sorted(ids))) for key, ids in shared.items())
+    )
     report = DegeneracyReport(
         triple_points=triples,
         corner_incidences=tuple(incidences),

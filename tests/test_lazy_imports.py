@@ -121,27 +121,6 @@ def test_geometry_commands_load_neither_dataclasses_nor_inspect(tmp_path, argv):
     assert loaded.isdisjoint(["dataclasses", "inspect"])
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["construct", "--n", "6", "--out", "{dir}/c6.txt"],
-        ["count", "{dir}/c6.txt"],
-        ["render", "{dir}/c6.txt", "--highlight-splitters", "--shade-regions"],
-        ["verify", "--n-max", "6"],
-        ["search", "--n", "8", "--trials", "2"],
-    ],
-    ids=lambda argv: argv[0],
-)
-def test_geometry_commands_build_no_crossing_point(tmp_path, argv):
-    # The pair table keeps crossings as parameters along their segments;
-    # only reading crossing points or reporting a triple point loads the
-    # module that builds them.
-    cycleregions.save_embedding(cycleregions.construct(6), str(tmp_path / "c6.txt"))
-    loaded = loaded_after(RUN_CLI, *(arg.format(dir=tmp_path) for arg in argv))
-    assert "cycleregions.embedding" in loaded
-    assert "cycleregions.crossings" not in loaded
-
-
 def test_import_loads_a_layer_only_on_first_use():
     assert not any(m.startswith("cycleregions.") for m in loaded_after("import cycleregions"))
     loaded = loaded_after("import cycleregions\ncycleregions.f_max")
