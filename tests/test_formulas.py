@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from cycleregions.formulas import (
     InvalidN,
     Parity,
     ParityCase,
+    construction_order,
     f_max,
     max_crossings,
     predicted_edges,
@@ -72,3 +74,13 @@ def test_parity_case():
         ParityCase(6, Parity.ODD)
     with pytest.raises(InvalidN):
         ParityCase.of(2)
+
+
+def test_construction_orders_are_pinned():
+    # One sha256 over every order for n = 3..1000, each written as its
+    # comma-joined labels and a newline. The golden digests reach only
+    # n = 41; this pins the order itself far beyond them.
+    digest = hashlib.sha256()
+    for n in range(3, 1001):
+        digest.update((",".join(map(str, construction_order(n))) + "\n").encode())
+    assert digest.hexdigest() == "39582ef59ddcf3e78e4cc3e9240e189cfc624749fd552e144aa10b5dd0011e84"
