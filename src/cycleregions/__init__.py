@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "Arrangement": "arrangement",
     "ConstructionCheckFailed": "embedding",
-    "ConstructionNotACycle": "formulas",
     "CycleEmbedding": "embedding",
     "CyclicPermutation": "search",
     "DegeneracyReport": "embedding",

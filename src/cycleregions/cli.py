@@ -1,10 +1,9 @@
 """Command line front end.
 
 Exit codes: 0 success, 2 bad input, 3 I/O failure, 4 degenerate geometry
-or failed perturbation, 5 verification failure, a construction that misses
-its own post-check, or even connections that do not form one cycle. Every
-randomized command prints its seed so any run can be reproduced from its
-own log.
+or failed perturbation, 5 verification failure or a construction that
+misses its own post-check. Every randomized command prints its seed so any
+run can be reproduced from its own log.
 
 Each subcommand imports the layers it runs when it runs, so a command
 starts up without the ones it does not need.
@@ -16,13 +15,7 @@ import argparse
 import sys
 from typing import NamedTuple
 
-from .formulas import (
-    ORACLE_MAX_N,
-    ConstructionNotACycle,
-    ParityCase,
-    construction_splitters,
-    f_max,
-)
+from .formulas import ORACLE_MAX_N, ParityCase, construction_splitters, f_max
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -79,20 +72,25 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-def cmd_count(args) -> int:
+def _count(emb):
+    """The arrangement, both region counts and the splitter report of emb,
+    the one counting path of `count` and `verify`."""
     from .arrangement import (
         build_arrangement,
         region_count_euler,
         region_count_traversal,
         splitter_analysis,
     )
+
+    arr = build_arrangement(emb)
+    return arr, region_count_euler(arr), region_count_traversal(emb), splitter_analysis(emb)
+
+
+def cmd_count(args) -> int:
     from .embedding import load_embedding
 
     emb = load_embedding(args.path)
-    arr = build_arrangement(emb)
-    euler = region_count_euler(arr)
-    traversal = region_count_traversal(emb)
-    report = splitter_analysis(emb)
+    arr, euler, traversal, report = _count(emb)
     other = emb.n - report.splitter_count - report.one_off_count
     _emit(
         args,
@@ -117,12 +115,6 @@ def cmd_count(args) -> int:
 
 
 def verify_rows(n_min: int, n_max: int, seed: int) -> list[VerifyRow]:
-    from .arrangement import (
-        build_arrangement,
-        region_count_euler,
-        region_count_traversal,
-        splitter_analysis,
-    )
     from .embedding import construct
 
     rows = []
@@ -130,9 +122,7 @@ def verify_rows(n_min: int, n_max: int, seed: int) -> list[VerifyRow]:
         case = ParityCase.of(n)
         emb = construct(n, seed=seed)
         target = f_max(n)
-        euler = region_count_euler(build_arrangement(emb))
-        traversal = region_count_traversal(emb)
-        report = splitter_analysis(emb)
+        _, euler, traversal, report = _count(emb)
         splitters_ok = (report.splitter_count, report.one_off_count) == construction_splitters(n)
         rows.append(
             VerifyRow(
@@ -341,7 +331,7 @@ def _exit_code(exc: Exception) -> int | None:
     if isinstance(exc, PerturbationFailed):
         print(f"degenerate geometry: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    if isinstance(exc, (ConstructionCheckFailed, ConstructionNotACycle)):
+    if isinstance(exc, ConstructionCheckFailed):
         print(f"construction check failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     if isinstance(exc, ValueError):  # InvalidN and NTooLarge included

@@ -18,14 +18,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Union
 
-# construct raises ConstructionNotACycle, so embedding exports it too.
-from .formulas import (
-    ConstructionNotACycle,
-    InvalidN,
-    construction_order,
-    construction_splitters,
-    max_crossings,
-)
+from .formulas import InvalidN, construction_order, construction_splitters, max_crossings
 from .geometry import Point, Segment
 
 Scale = Union[int, Fraction]
@@ -386,11 +379,13 @@ def perturb(
 
     Identical (emb, epsilon, seed) always yields the identical embedding.
     Raises PerturbationFailed after max_retries failed attempts and
-    ValueError for epsilon <= 0.
+    ValueError for epsilon <= 0 or a negative seed.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     for attempt in range(max_retries):
         rng = random.Random(seed * (1 << 32) + attempt)
         moved = []
@@ -450,10 +445,13 @@ def construct(n: int, seed: int = 0) -> CycleEmbedding:
     The corners are in convex position, so the region count is 1 plus the
     order's crossings. ConstructionCheckFailed is raised unless the
     result's pair table has max_crossings(n) crossings (so f(n) regions)
-    and the splitter classes `construction_splitters(n)`.
+    and the splitter classes `construction_splitters(n)`. A negative seed
+    raises ValueError: random.Random would seed it as its absolute value.
     """
     if n < 3:
         raise InvalidN(f"n must be at least 3, got {n}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     emb = _place(n)
     if not validate_general_position(emb).is_empty():
         emb = perturb(emb, PERTURB_EPSILON, seed)

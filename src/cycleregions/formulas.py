@@ -2,12 +2,16 @@
 and splitter classes realised by the extremal constructions, and the
 cycle order those constructions visit.
 
+The cycle order is one step rule for both parities: running sums, mod n,
+of steps of n // 2 and of n // 2 - 1 (see `construction_order`).
+
 All values are exact integers computed with integer arithmetic only.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from typing import NamedTuple
 
 # Largest n the exact convex oracle accepts. n = 18, the slowest accepted
@@ -18,10 +22,6 @@ ORACLE_MAX_N = 19
 
 class InvalidN(ValueError):
     """Cycle length below 3 has no embedding with enclosed regions."""
-
-
-class ConstructionNotACycle(RuntimeError):
-    """The even construction's segment set failed to form one n-cycle."""
 
 
 def _check_n(n: int) -> None:
@@ -106,52 +106,20 @@ def predicted_edges(n: int) -> int:
     return n + 2 * max_crossings(n)
 
 
-def _even_connection_pairs(n: int) -> list[tuple[int, int]]:
-    # Step-(n/2-1) connections give n/2 parallel pairs on a regular
-    # placement; replacing one parallel pair with the crossing pair
-    # {0, n/2}, {n/2-1, n-1} re-links everything into a single cycle.
-    s = n // 2 - 1
-    pairs = {frozenset((c, (c + s) % n)) for c in range(n)}
-    pairs.discard(frozenset((0, s)))
-    pairs.discard(frozenset((n // 2, n - 1)))
-    pairs.add(frozenset((0, n // 2)))
-    pairs.add(frozenset((s, n - 1)))
-    return sorted(tuple(sorted(p)) for p in pairs)
-
-
-def _even_cycle_order(n: int) -> list[int]:
-    """Corner labels in the order the even construction's cycle visits
-    them, starting at 0 toward its smaller neighbour."""
-    pairs = _even_connection_pairs(n)
-    adj: dict[int, list[int]] = {c: [] for c in range(n)}
-    for a, b in pairs:
-        adj[a].append(b)
-        adj[b].append(a)
-    if len(pairs) != n or any(len(v) != 2 for v in adj.values()):
-        raise ConstructionNotACycle(f"connection set for n={n} is not 2-regular")
-    order = [0]
-    prev = -1
-    cur = 0
-    for _ in range(n - 1):
-        nxt = min(b for b in adj[cur] if b != prev)
-        order.append(nxt)
-        prev, cur = cur, nxt
-    if len(set(order)) != n or 0 not in adj[cur]:
-        raise ConstructionNotACycle(
-            f"connection set for n={n} splits into more than one cycle"
-        )
-    return order
-
-
 def construction_order(n: int) -> list[int]:
-    """The polygon vertices `embedding.construct(n)` visits, in cycle order.
+    """The polygon vertices `embedding.construct(n)` visits, in cycle order:
+    the running sums, mod n, of one step list starting at corner 0, with
+    h = n // 2 and s = h - 1.
 
-    Odd n steps (n-1)/2 around a regular n-gon; the step is coprime to n,
-    so every connection crosses or touches all n-1 others. Even n connects
-    corner c to corner c + (n/2 - 1) and swaps one of the resulting
-    parallel pairs for a crossing pair (`_even_cycle_order`), on n of the
-    n+1 vertices of a regular (n+1)-gon. Both orders reach
-    `max_crossings(n)` on a circle."""
-    if n % 2:
-        return [(i * ((n - 1) // 2)) % n for i in range(n)]
-    return _even_cycle_order(n)
+    Odd n steps h, n - 1 times, around a regular n-gon; h is coprime to n,
+    so every connection crosses or touches all n - 1 others. Even n steps
+    h, then -s (h - 1 times), then h, then +s (h - 2 times), and the step
+    that closes the cycle is +s too. Its connections are every {c, c + s}
+    except the parallel pair {0, s}, {h, n - 1}, which the crossing pair
+    {0, h}, {s, n - 1} replaces; the corners sit on n of the n + 1
+    vertices of a regular (n + 1)-gon. Both orders reach `max_crossings(n)`
+    on a circle."""
+    h = n // 2
+    s = h - 1
+    steps = [h] * (n - 1) if n % 2 else [h] + [-s] * s + [h] + [s] * (h - 2)
+    return [total % n for total in itertools.accumulate(steps, initial=0)]

@@ -233,13 +233,16 @@ def random_search(n: int, trials: int, seed: int = 0) -> tuple[int, CycleEmbeddi
     fixed order 0..n-1 and for one random cycle order per placement, and
     return the best (region_count, embedding) found.
 
-    Deterministic for identical (n, trials, seed). Degenerate samples are
-    nudged into general position before counting.
+    Deterministic for identical (n, trials, seed); a negative seed raises
+    ValueError. Degenerate samples are nudged into general position before
+    counting.
     """
     if n < 3:
         raise InvalidN(f"n must be at least 3, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     from .arrangement import build_arrangement, region_count_euler
     from .embedding import CycleEmbedding, perturb, validate_general_position
     from .geometry import Point
@@ -274,6 +277,8 @@ def splitter_bound_check(n: int, trials: int, seed: int = 0) -> int:
         raise InvalidN(f"splitter bound applies to even n >= 4, got {n}")
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     from .arrangement import DegenerateInput, splitter_analysis
     from .embedding import CycleEmbedding, construct_even
     from .geometry import Point

@@ -2,10 +2,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from cycleregions import embedding, formulas
+from cycleregions import embedding
 from cycleregions.cli import main
 from cycleregions.embedding import (
-    ConstructionNotACycle,
     CycleEmbedding,
     PerturbationFailed,
     load_embedding,
@@ -237,25 +236,6 @@ class TestErrorContract:
         assert code == 5
         assert "construction check failed" in err
         assert not path.exists()
-
-    @pytest.mark.parametrize(
-        "module,argv",
-        [(formulas, ("construct", "--n", "6", "--out", "x.txt")), (formulas, ("oracle", "--n", "6"))],
-    )
-    def test_even_order_that_is_not_a_cycle_is_verification_failure(
-        self, tmp_path, capsys, monkeypatch, module, argv
-    ):
-        def broken(n):
-            raise ConstructionNotACycle(f"connection set for n={n} is not 2-regular")
-
-        monkeypatch.setattr(module, "_even_cycle_order", broken)
-        monkeypatch.chdir(tmp_path)
-        code, out, err = run(capsys, *argv)
-        assert code == 5
-        assert out == ""
-        assert "construction check failed: connection set for n=6" in err
-        assert "Traceback" not in err
-        assert not (tmp_path / "x.txt").exists()
 
     def test_collapsed_segment_exits_alike_in_every_command(self, tmp_path, capsys):
         path = tmp_path / "collapsed.txt"

@@ -5,7 +5,6 @@ import pytest
 from cycleregions import formulas
 from cycleregions.arrangement import build_arrangement
 from cycleregions.embedding import (
-    ConstructionNotACycle,
     CycleEmbedding,
     PerturbationFailed,
     construct,
@@ -163,6 +162,18 @@ class TestPerturb:
         with pytest.raises(PerturbationFailed):
             perturb(hexagon_star(), Fraction(1, 1000), seed=0, max_retries=0)
 
+    def test_rejects_negative_seed(self):
+        # random.Random(-s) is random.Random(s): -1 would repeat seed 1.
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            perturb(hexagon_star(), Fraction(1, 1000), seed=-1)
+
+
+@pytest.mark.parametrize("build,n", [(construct, 8), (construct_odd, 7), (construct_even, 8)])
+def test_construct_rejects_negative_seed(build, n):
+    # Raised even where the placement needs no perturbation and so no seed.
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        build(n, seed=-1)
+
 
 class TestConstructOdd:
     def test_visit_order_is_bijection(self):
@@ -209,18 +220,16 @@ class TestConstructEven:
 
     def test_connection_pairs_form_single_cycle(self):
         for n in range(4, 17, 2):
-            order = formulas._even_cycle_order(n)
+            order = formulas.construction_order(n)
             assert sorted(order) == list(range(n))
-
-    def test_broken_connection_set_raises(self, monkeypatch):
-        # two disjoint triangles instead of one 6-cycle
-        monkeypatch.setattr(
-            formulas,
-            "_even_connection_pairs",
-            lambda n: [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)],
-        )
-        with pytest.raises(ConstructionNotACycle):
-            formulas._even_cycle_order(6)
+            # Every {c, c + s} but the parallel pair {0, s}, {h, n - 1},
+            # which the crossing pair {0, h}, {s, n - 1} replaces.
+            h, s = n // 2, n // 2 - 1
+            links = {frozenset((c, (c + s) % n)) for c in range(n)}
+            swapped = {frozenset((0, s)), frozenset((h, n - 1))}
+            crossing = {frozenset((0, h)), frozenset((s, n - 1))}
+            edges = {frozenset((order[i], order[i - 1])) for i in range(n)}
+            assert edges == (links - swapped) | crossing
 
     def test_deterministic(self):
         assert construct_even(10) == construct_even(10)

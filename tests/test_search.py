@@ -278,6 +278,11 @@ class TestRandomSearch:
         with pytest.raises(ValueError):
             random_search(5, 0)
 
+    def test_rejects_negative_seed(self):
+        # random.Random(-s) is random.Random(s): -1 would repeat seed 1.
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            random_search(8, 20, seed=-1)
+
 
 class TestSplitterBound:
     @pytest.mark.parametrize("n", [4, 6])
@@ -292,3 +297,7 @@ class TestSplitterBound:
     def test_rejects_odd_n(self):
         with pytest.raises(InvalidN):
             splitter_bound_check(5, 10)
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            splitter_bound_check(6, 10, seed=-1)
