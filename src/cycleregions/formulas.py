@@ -119,6 +119,7 @@ def construction_order(n: int) -> list[int]:
     {0, h}, {s, n - 1} replaces; the corners sit on n of the n + 1
     vertices of a regular (n + 1)-gon. Both orders reach `max_crossings(n)`
     on a circle."""
+    _check_n(n)
     h = n // 2
     s = h - 1
     steps = [h] * (n - 1) if n % 2 else [h] + [-s] * s + [h] + [s] * (h - 2)

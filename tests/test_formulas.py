@@ -62,7 +62,7 @@ def test_predicted_sizes_of_small_cases():
 
 @pytest.mark.parametrize("bad", [2, 1, 0, -5])
 def test_rejects_small_n(bad):
-    for fn in (f_max, predicted_vertices, predicted_edges, max_crossings):
+    for fn in (f_max, predicted_vertices, predicted_edges, max_crossings, construction_order):
         with pytest.raises(InvalidN):
             fn(bad)
 
