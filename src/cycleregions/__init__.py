@@ -23,8 +23,6 @@ _EXPORTS = {
     "NTooLarge": "search",
     "OracleResult": "search",
     "Orientation": "geometry",
-    "Parity": "formulas",
-    "ParityCase": "formulas",
     "PerturbationFailed": "embedding",
     "Point": "geometry",
     "PointNotOnSegment": "geometry",
@@ -36,7 +34,6 @@ _EXPORTS = {
     "build_arrangement": "arrangement",
     "construct": "embedding",
     "construct_even": "embedding",
-    "construct_even_raw": "embedding",
     "construct_odd": "embedding",
     "cross": "geometry",
     "crossing_count_convex": "search",

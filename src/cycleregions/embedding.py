@@ -477,14 +477,6 @@ def construct_even(n: int, seed: int = 0) -> CycleEmbedding:
     return construct(n, seed)
 
 
-def construct_even_raw(n: int) -> CycleEmbedding:
-    """The even-n placement of construct(n), before any validation or
-    perturbation."""
-    if n < 4 or n % 2 == 1:
-        raise InvalidN(f"even construction needs even n >= 4, got {n}")
-    return _place(n)
-
-
 def format_embedding(emb: CycleEmbedding) -> str:
     """Serialise to the embedding text format.
 

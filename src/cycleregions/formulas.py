@@ -10,9 +10,7 @@ All values are exact integers computed with integer arithmetic only.
 
 from __future__ import annotations
 
-import enum
 import itertools
-from typing import NamedTuple
 
 # Largest n the exact convex oracle accepts. n = 18, the slowest accepted
 # n, takes about 2.5 s (odd n prunes far better); n = 20 takes about six
@@ -29,34 +27,6 @@ def _check_n(n: int) -> None:
         raise InvalidN(f"n must be an integer, got {n!r}")
     if n < 3:
         raise InvalidN(f"n must be at least 3, got {n}")
-
-
-class Parity(enum.Enum):
-    EVEN = "even"
-    ODD = "odd"
-
-
-class _ParityCaseFields(NamedTuple):
-    n: int
-    parity: Parity
-
-
-class ParityCase(_ParityCaseFields):
-    """A cycle length together with its parity tag."""
-
-    __slots__ = ()
-
-    def __new__(cls, n: int, parity: Parity) -> "ParityCase":
-        _check_n(n)
-        expected = Parity.EVEN if n % 2 == 0 else Parity.ODD
-        if parity is not expected:
-            raise ValueError(f"parity tag {parity} does not match n={n}")
-        return super().__new__(cls, n, parity)
-
-    @classmethod
-    def of(cls, n: int) -> "ParityCase":
-        _check_n(n)
-        return cls(n, Parity.EVEN if n % 2 == 0 else Parity.ODD)
 
 
 def max_crossings(n: int) -> int:

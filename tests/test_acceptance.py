@@ -17,9 +17,9 @@ from cycleregions.cli import verify_rows
 from cycleregions.embedding import (
     CycleEmbedding,
     PERTURB_RETRIES,
+    _place,
     construct,
     construct_even,
-    construct_even_raw,
     construct_odd,
     format_embedding,
     parse_embedding,
@@ -158,7 +158,7 @@ def test_criterion_8_large_even_cases_validate_or_repair():
     ok = True
     branches = []
     for n in (12, 14):
-        raw = construct_even_raw(n)
+        raw = _place(n)
         if validate_general_position(raw).is_empty():
             branches.append(f"n={n} raw placement already general position")
         else:

@@ -2,7 +2,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from cycleregions import embedding
+from cycleregions import arrangement, embedding
 from cycleregions.cli import main
 from cycleregions.embedding import (
     CycleEmbedding,
@@ -209,6 +209,21 @@ class TestRender:
         assert code == 0
         assert out.count('class="segment splitter"') == 2
 
+    def test_color_options_reach_the_svg(self, tmp_path, capsys):
+        path = tmp_path / "seven.txt"
+        run(capsys, "construct", "--n", "7", "--out", str(path))
+        colors = ("--stroke", "#000000", "--splitter-stroke", "red", "--fill", "none")
+        code, out, _ = run(
+            capsys, "render", str(path), *colors, "--highlight-splitters", "--shade-regions"
+        )
+        assert code == 0
+        # Every segment of the odd construction is a splitter; the stroke
+        # colours the corners and their labels.
+        assert out.count('stroke="red"') == 7
+        assert 'fill="#000000"' in out
+        assert 'fill="none" fill-rule="evenodd"' in out
+        assert not any(default in out for default in ("#1f3a5f", "#c0392b", "#f2d9a0"))
+
 
 class TestErrorContract:
     @pytest.mark.parametrize("flag,value", [("--width", "0"), ("--width", "-5"), ("--height", "0")])
@@ -236,6 +251,33 @@ class TestErrorContract:
         assert code == 5
         assert "construction check failed" in err
         assert not path.exists()
+
+    @pytest.fixture
+    def traversal_off_by_one_at_7(self, monkeypatch):
+        true_count = arrangement.region_count_traversal
+        monkeypatch.setattr(
+            arrangement, "region_count_traversal", lambda emb: true_count(emb) + (emb.n == 7)
+        )
+
+    def test_counter_disagreement_in_count_is_verification_failure(
+        self, tmp_path, capsys, traversal_off_by_one_at_7
+    ):
+        path = tmp_path / "seven.txt"
+        run(capsys, "construct", "--n", "7", "--out", str(path))
+        code, out, err = run(capsys, "count", str(path))
+        assert code == 5
+        assert "regions_traversal: 16" in out
+        assert err == "internal error: region counters disagree (15 vs 16)\n"
+
+    def test_counter_disagreement_in_verify_is_verification_failure(
+        self, capsys, traversal_off_by_one_at_7
+    ):
+        code, out, err = run(capsys, "verify", "--n-max", "9")
+        assert code == 5
+        rows = out.splitlines()[2:]
+        assert [int(row.split()[0]) for row in rows] == list(range(3, 10))
+        assert [row.split()[-1] for row in rows] == ["True"] * 4 + ["False"] + ["True"] * 2
+        assert err == "first failing row: n=7\n"
 
     def test_collapsed_segment_exits_alike_in_every_command(self, tmp_path, capsys):
         path = tmp_path / "collapsed.txt"

@@ -7,9 +7,9 @@ from cycleregions.arrangement import build_arrangement
 from cycleregions.embedding import (
     CycleEmbedding,
     PerturbationFailed,
+    _place,
     construct,
     construct_even,
-    construct_even_raw,
     construct_odd,
     format_embedding,
     load_embedding,
@@ -212,7 +212,7 @@ class TestConstructEven:
 
     def test_raw_placement_leaves_one_polygon_vertex_unused(self):
         n = 8
-        raw = construct_even_raw(n)
+        raw = _place(n)
         poly = set(regular_polygon_points(n + 1, 1, 12))
         used = set(raw.corners)
         assert used < poly

@@ -5,8 +5,6 @@ import pytest
 
 from cycleregions.formulas import (
     InvalidN,
-    Parity,
-    ParityCase,
     construction_order,
     f_max,
     max_crossings,
@@ -65,15 +63,6 @@ def test_rejects_small_n(bad):
     for fn in (f_max, predicted_vertices, predicted_edges, max_crossings, construction_order):
         with pytest.raises(InvalidN):
             fn(bad)
-
-
-def test_parity_case():
-    assert ParityCase.of(7) == ParityCase(7, Parity.ODD)
-    assert ParityCase.of(8).parity is Parity.EVEN
-    with pytest.raises(ValueError):
-        ParityCase(6, Parity.ODD)
-    with pytest.raises(InvalidN):
-        ParityCase.of(2)
 
 
 def test_construction_orders_are_pinned():

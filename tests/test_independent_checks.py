@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cycleregions.arrangement import build_arrangement, region_count_traversal
@@ -197,8 +197,19 @@ def by_position(points):
     return sorted(points, key=lambda p: (p.x, p.y))
 
 
+# Segments 0 and 4 lie on one line with a gap between them, a case the
+# random drawings seldom hit.
+GAPPED_COLLINEAR = CycleEmbedding(
+    8,
+    tuple(
+        Point(x, y) for x, y in [(0, 0), (1, 0), (1, 1), (2, 1), (2, 0), (3, 0), (3, 2), (0, 2)]
+    ),
+)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(grid_embeddings(), rational_embeddings()))
+@example(GAPPED_COLLINEAR)
 def test_table_matches_pairwise_classification(emb):
     assert validate_general_position(emb) == reference_report(emb)
     table = pair_table(emb)

@@ -28,8 +28,6 @@ PUBLIC_NAMES = [
     "NTooLarge",
     "OracleResult",
     "Orientation",
-    "Parity",
-    "ParityCase",
     "PerturbationFailed",
     "Point",
     "PointNotOnSegment",
@@ -41,7 +39,6 @@ PUBLIC_NAMES = [
     "build_arrangement",
     "construct",
     "construct_even",
-    "construct_even_raw",
     "construct_odd",
     "cross",
     "crossing_count_convex",

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycleregions import arrangement, embedding, search
 from cycleregions.arrangement import build_arrangement, region_count_euler
 from cycleregions.embedding import (
     CycleEmbedding,
@@ -24,6 +25,7 @@ from cycleregions.search import (
     _chord_cap,
     _chord_table,
     _crossing_count,
+    _random_corners,
     crossing_count_convex,
     oracle_max_regions_convex,
     random_search,
@@ -283,6 +285,33 @@ class TestRandomSearch:
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             random_search(8, 20, seed=-1)
 
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_repairs_degenerate_draws_on_a_small_grid(self, n, monkeypatch):
+        # On a 3x3 grid most draws have collinear corners, so most trials
+        # also run the perturb repair.
+        monkeypatch.setattr(search, "COORD_RANGE", 2)
+        calls = []
+        true_perturb = embedding.perturb
+
+        def counted_perturb(*args):
+            calls.append(args)
+            return true_perturb(*args)
+
+        monkeypatch.setattr(embedding, "perturb", counted_perturb)
+        best, emb = random_search(n, 40, seed=1)
+        assert calls
+        assert (best, emb) == random_search(n, 40, seed=1)
+        assert validate_general_position(emb).is_empty()
+        assert best == build_arrangement(emb).face_count <= f_max(n)
+
+
+def test_random_corners_skip_repeated_points(monkeypatch):
+    # Nine distinct corners on a 3x3 grid take every point once, which
+    # needs the draws that repeat a point to be skipped.
+    monkeypatch.setattr(search, "COORD_RANGE", 2)
+    corners = _random_corners(random.Random(0), 9)
+    assert sorted(corners) == [(x, y) for x in range(3) for y in range(3)]
+
 
 class TestSplitterBound:
     @pytest.mark.parametrize("n", [4, 6])
@@ -293,6 +322,23 @@ class TestSplitterBound:
         assert splitter_bound_check(6, 30, seed=1) == splitter_bound_check(
             6, 30, seed=1
         )
+
+    @pytest.mark.parametrize("n", [4, 6, 8])
+    def test_skips_degenerate_draws_on_a_small_grid(self, n, monkeypatch):
+        monkeypatch.setattr(search, "COORD_RANGE", 2)
+        skipped = []
+        true_analysis = arrangement.splitter_analysis
+
+        def counted_analysis(emb):
+            try:
+                return true_analysis(emb)
+            except arrangement.DegenerateInput:
+                skipped.append(emb)
+                raise
+
+        monkeypatch.setattr(arrangement, "splitter_analysis", counted_analysis)
+        assert splitter_bound_check(n, 60, seed=2) == 2
+        assert skipped
 
     def test_rejects_odd_n(self):
         with pytest.raises(InvalidN):
