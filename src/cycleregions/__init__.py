@@ -24,10 +24,10 @@ _EXPORTS = {
     "OracleResult": "search",
     "Orientation": "geometry",
     "PerturbationFailed": "embedding",
-    "Point": "geometry",
+    "Point": "embedding",
     "PointNotOnSegment": "geometry",
     "RenderOptions": "render",
-    "Segment": "geometry",
+    "Segment": "embedding",
     "SegmentClass": "arrangement",
     "SplitterReport": "arrangement",
     "VertexKind": "arrangement",

@@ -18,8 +18,7 @@ from __future__ import annotations
 import enum
 from typing import NamedTuple
 
-from .embedding import CycleEmbedding, DegeneracyReport, PairTable, pair_table
-from .geometry import Point
+from .embedding import CycleEmbedding, DegeneracyReport, PairTable, Point, pair_table
 
 
 class DegenerateInput(ValueError):

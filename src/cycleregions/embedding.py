@@ -1,12 +1,15 @@
-"""Cycle embeddings: corner placements, the two extremal constructions,
-the pair table behind general-position validation, deterministic
-perturbation, and the text file format.
+"""Cycle embeddings: the exact point and segment records, corner
+placements, the two extremal constructions, the pair table behind
+general-position validation, deterministic perturbation, and the text file
+format.
 
 An embedding is the full description of a drawing: n corners in cycle
 order, with segment i joining corner i to corner (i+1) mod n. Corners are
-exact rational points, so degeneracy detection is a decision, not a
+exact rational `Point`s, so degeneracy detection is a decision, not a
 tolerance. The pair table scales them to integers once and classifies
-every segment pair, touches and overlaps included, in integer arithmetic.
+every segment pair, touches and overlaps included, in integer arithmetic;
+the `Fraction` predicates of `geometry` are not needed to draw, count or
+check a drawing.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .formulas import InvalidN, construction_order, construction_splitters, max_crossings
-from .geometry import Point, Segment
 
 Scale = Union[int, Fraction]
 
@@ -40,6 +42,41 @@ class PerturbationFailed(RuntimeError):
 
 class ConstructionCheckFailed(RuntimeError):
     """A construction missed max_crossings(n) or its splitter classes."""
+
+
+class _PointFields(NamedTuple):
+    x: Fraction
+    y: Fraction
+
+
+class Point(_PointFields):
+    """Immutable exact point; coordinates are normalised to Fraction."""
+
+    __slots__ = ()
+
+    def __new__(cls, x, y) -> "Point":
+        return super().__new__(cls, Fraction(x), Fraction(y))
+
+
+class _SegmentFields(NamedTuple):
+    a: Point
+    b: Point
+    cycle_index: int = 0
+
+
+class Segment(_SegmentFields):
+    """Closed segment from a to b.
+
+    cycle_index records which cycle connection the segment embeds; it is 0
+    for free-standing segments built in tests or tools.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: Point, b: Point, cycle_index: int = 0) -> "Segment":
+        if a == b:
+            raise ValueError("segment endpoints coincide")
+        return super().__new__(cls, a, b, cycle_index)
 
 
 class _CycleEmbeddingFields(NamedTuple):
@@ -419,12 +456,14 @@ def regular_polygon_points(k: int, scale: Scale = 1, digits: int = DEFAULT_DIGIT
     scale = Fraction(scale)
     if scale <= 0:
         raise ValueError(f"scale must be positive, got {scale}")
-    den = 10**digits
+    unit = 10**digits
+    # round(c * unit) / unit * scale, built as one Fraction: one normalisation.
+    num, den = scale.numerator, unit * scale.denominator
     pts = []
     for j in range(k):
         ang = 2.0 * math.pi * j / k
-        x = Fraction(round(math.cos(ang) * den), den) * scale
-        y = Fraction(round(math.sin(ang) * den), den) * scale
+        x = Fraction(round(math.cos(ang) * unit) * num, den)
+        y = Fraction(round(math.sin(ang) * unit) * num, den)
         pts.append(Point(x, y))
     if len(set(pts)) != k:
         raise ValueError("rounding collapsed two polygon vertices; raise digits")

@@ -1,13 +1,14 @@
-"""Exact rational plane primitives: the public point, segment and
-predicate API.
+"""Exact rational plane predicates: orientation, on-segment tests,
+segment intersection and ordering along a segment.
 
-Coordinates are `fractions.Fraction`, so orientation and intersection
-predicates are decided exactly. No floating point enters any comparison;
-this matters because the even-cycle constructions are deliberately
-near-degenerate and epsilon tests would misclassify them. The pair table in
-`embedding` classifies a drawing's pairs on its own, in integers, and calls
-none of these predicates; they remain the public API and the independent
-reference the tests check that table against.
+Coordinates are `fractions.Fraction`, so every predicate is decided
+exactly. No floating point enters any comparison; this matters because
+the even-cycle constructions are deliberately near-degenerate and epsilon
+tests would misclassify them. The pair table in `embedding` classifies a
+drawing's pairs on its own, in integers, and calls none of these
+predicates; they remain public API and the independent reference the tests
+check that table against. No CLI subcommand loads this module. `Point` and
+`Segment` are defined in `embedding` and re-exported here.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 import enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
+
+from .embedding import Point, Segment
 
 
 class PointNotOnSegment(ValueError):
@@ -27,41 +30,6 @@ class Orientation(enum.IntEnum):
     CW = -1
     COLLINEAR = 0
     CCW = 1
-
-
-class _PointFields(NamedTuple):
-    x: Fraction
-    y: Fraction
-
-
-class Point(_PointFields):
-    """Immutable exact point; coordinates are normalised to Fraction."""
-
-    __slots__ = ()
-
-    def __new__(cls, x, y) -> "Point":
-        return super().__new__(cls, Fraction(x), Fraction(y))
-
-
-class _SegmentFields(NamedTuple):
-    a: Point
-    b: Point
-    cycle_index: int = 0
-
-
-class Segment(_SegmentFields):
-    """Closed segment from a to b.
-
-    cycle_index records which cycle connection the segment embeds; it is 0
-    for free-standing segments built in tests or tools.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, a: Point, b: Point, cycle_index: int = 0) -> "Segment":
-        if a == b:
-            raise ValueError("segment endpoints coincide")
-        return super().__new__(cls, a, b, cycle_index)
 
 
 class IntersectionKind(enum.Enum):

@@ -244,8 +244,7 @@ def random_search(n: int, trials: int, seed: int = 0) -> tuple[int, CycleEmbeddi
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     from .arrangement import build_arrangement, region_count_euler
-    from .embedding import CycleEmbedding, perturb, validate_general_position
-    from .geometry import Point
+    from .embedding import CycleEmbedding, Point, perturb, validate_general_position
 
     rng = random.Random(seed)
     best_count = -1
@@ -280,8 +279,7 @@ def splitter_bound_check(n: int, trials: int, seed: int = 0) -> int:
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     from .arrangement import DegenerateInput, splitter_analysis
-    from .embedding import CycleEmbedding, construct_even
-    from .geometry import Point
+    from .embedding import CycleEmbedding, Point, construct_even
 
     best = splitter_analysis(construct_even(n, seed)).splitter_count
     rng = random.Random(seed)

@@ -58,7 +58,7 @@ def test_predicted_sizes_of_small_cases():
     assert (predicted_vertices(10), predicted_edges(10)) == (41, 72)
 
 
-@pytest.mark.parametrize("bad", [2, 1, 0, -5])
+@pytest.mark.parametrize("bad", [2, 1, 0, -5, 4.0, True])
 def test_rejects_small_n(bad):
     for fn in (f_max, predicted_vertices, predicted_edges, max_crossings, construction_order):
         with pytest.raises(InvalidN):

@@ -255,7 +255,9 @@ def reference_pair_counts(emb):
 def test_table_matches_pairwise_classification_on_every_grid_4_cycle():
     # Every 4-cycle with corners in {0,1,2}^2 and no collapsed segment. So
     # small a grid is dense in touches, T-junctions and collinear pairs that
-    # overlap, abut or leave a gap, which random drawings seldom hit.
+    # overlap or abut, which random drawings seldom hit. Two disjoint
+    # collinear segments do not fit on a line of three grid points; that
+    # gap case is the GAPPED_COLLINEAR example.
     grid = [Point(x, y) for x in range(3) for y in range(3)]
     drawings = 0
     mismatches = []

@@ -113,14 +113,27 @@ def test_count_loads_neither_search_nor_render(tmp_path):
 def test_geometry_commands_load_neither_dataclasses_nor_inspect(tmp_path, argv):
     cycleregions.save_embedding(cycleregions.construct(6), str(tmp_path / "c6.txt"))
     loaded = loaded_after(RUN_CLI, *(arg.format(dir=tmp_path) for arg in argv))
-    assert "cycleregions.geometry" in loaded  # the run did reach the geometry
-    assert loaded.isdisjoint(["dataclasses", "inspect"])
+    assert "cycleregions.embedding" in loaded  # the run did reach the geometry
+    assert loaded.isdisjoint(["cycleregions.geometry", "dataclasses", "inspect"])
 
 
 def test_import_loads_a_layer_only_on_first_use():
     assert not any(m.startswith("cycleregions.") for m in loaded_after("import cycleregions"))
     loaded = loaded_after("import cycleregions\ncycleregions.f_max")
     assert {m for m in loaded if m.startswith("cycleregions.")} == {"cycleregions.formulas"}
+
+
+def test_point_loads_embedding_but_not_the_predicates():
+    loaded = loaded_after("import cycleregions\ncycleregions.Point")
+    assert "cycleregions.embedding" in loaded
+    assert "cycleregions.geometry" not in loaded
+
+
+def test_geometry_reexports_the_embedding_records():
+    from cycleregions import embedding, geometry
+
+    assert geometry.Point is embedding.Point
+    assert geometry.Segment is embedding.Segment
 
 
 def test_all_is_unchanged():

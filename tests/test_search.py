@@ -78,6 +78,8 @@ class TestCyclicPermutation:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             CyclicPermutation.canonical((0, 1, 1))
+        with pytest.raises(ValueError, match="not a permutation"):
+            CyclicPermutation((0, 1, 1))
 
     def test_rejects_non_canonical_direct_construction(self):
         with pytest.raises(ValueError):
@@ -347,3 +349,7 @@ class TestSplitterBound:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
             splitter_bound_check(6, 10, seed=-1)
+
+    def test_rejects_negative_trials(self):
+        with pytest.raises(ValueError, match="trials must be non-negative, got -1"):
+            splitter_bound_check(6, -1)
