@@ -52,10 +52,21 @@ class Arrangement(NamedTuple):
     @property
     def vertices(self) -> tuple[tuple[Point, VertexKind], ...]:
         """The corners in cycle order, then the proper crossings in (x, y)
-        order, each with its kind."""
+        order, each with its kind. The crossing points are built from the
+        table's integers on each read."""
         points = self.table.points
+        # Two distinct rationals whose denominators are at most dmax, the
+        # largest of the points', differ by at least 1/dmax^2, so scaling by
+        # dmax^2 and flooring keeps their order and their ties: an exact
+        # integer key, far cheaper to compare than the Fractions.
+        k = max((max(p.x.denominator, p.y.denominator) for p in points), default=1) ** 2
+        keys = [
+            (p.x.numerator * k // p.x.denominator, p.y.numerator * k // p.y.denominator)
+            for p in points
+        ]
         return tuple((p, VertexKind.CORNER) for p in self.corners) + tuple(
-            (points[c], VertexKind.CROSSING) for c in self.table.xy_order
+            (points[c], VertexKind.CROSSING)
+            for c in sorted(range(len(points)), key=keys.__getitem__)
         )
 
 

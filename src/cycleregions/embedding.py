@@ -14,7 +14,6 @@ check a drawing.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 import re
@@ -152,10 +151,10 @@ class PairTable(NamedTuple):
     signs[c] is the sign of cross(u_i, u_j) for the directions u_i, u_j of
     the crossing's two segments. Crossings stay integers: `corners` holds
     the corners scaled by `scale` to integers, and the crossing points, as
-    `xyd`, `points` or `crossings`, and their (x, y) order, as `xy_order`,
-    are built from them only when read. Everything but the report, the
-    corners and scale is None when adjacent corners coincide, since a
-    collapsed segment has no pairs.
+    `points` or `crossings`, are built from them afresh on each read; no
+    command reads them. Everything but the report, the corners and scale
+    is None when adjacent corners coincide, since a collapsed segment has
+    no pairs.
     """
 
     report: DegeneracyReport
@@ -166,32 +165,12 @@ class PairTable(NamedTuple):
     scale: int
 
     @property
-    def xyd(self) -> Optional[tuple[tuple[int, int, int], ...]]:
-        """Each proper crossing as lowest-terms integers (X, Y, D): crossing
-        c is the point (X / (D * scale), Y / (D * scale)) for xyd[c]."""
-        if self.chains is None:
-            return None
-        return _crossing_xyd(self.chains, self.corners)
-
-    @property
     def points(self) -> Optional[tuple[Point, ...]]:
         """Each proper crossing as a Point; crossing c is points[c]."""
         if self.chains is None:
             return None
-        return _crossing_points(self.xyd, self.scale)
-
-    @property
-    def xy_order(self) -> Optional[tuple[int, ...]]:
-        """The crossing ids in the (x, y) order of their points."""
-        xyd = self.xyd
-        if xyd is None:
-            return None
-        # Two distinct rationals whose denominators are at most dmax, the
-        # largest D, differ by at least 1/dmax^2, so scaling by dmax^2 and
-        # flooring keeps their order and their ties: an exact integer key.
-        k = max((d for _, _, d in xyd), default=1) ** 2
-        keys = [(x * k // d, y * k // d) for x, y, d in xyd]
-        return tuple(sorted(range(len(xyd)), key=keys.__getitem__))
+        pts, scale = self.corners, self.scale
+        return tuple(_crossing_point(pts, scale, i, j) for i, j in _crossing_ends(self.chains))
 
     @property
     def crossings(self) -> Optional[tuple[tuple[Point, ...], ...]]:
@@ -202,13 +181,9 @@ class PairTable(NamedTuple):
         return tuple(tuple(points[c] for c in chain) for chain in self.chains)
 
 
-def _scaled_point(x: int, y: int, d: int, scale: int) -> Point:
-    return Point(Fraction(x, d * scale), Fraction(y, d * scale))
-
-
-def _meet(pts: tuple[tuple[int, int], ...], i: int, j: int) -> tuple[int, int, int]:
-    """Lowest-terms (X, Y, D), D > 0, of the point (X/D, Y/D) where the
-    lines of segments i and j of the integer corners pts meet."""
+def _crossing_point(pts: tuple[tuple[int, int], ...], scale: int, i: int, j: int) -> Point:
+    """The exact point where the lines of segments i and j meet, for the
+    corners pts scaled by scale to integers."""
     n = len(pts)
     (ax, ay), (bx, by) = pts[i], pts[(i + 1) % n]
     (cx, cy), (dx, dy) = pts[j], pts[(j + 1) % n]
@@ -216,12 +191,8 @@ def _meet(pts: tuple[tuple[int, int], ...], i: int, j: int) -> tuple[int, int, i
     # Segment j's line meets segment i's at t / q of the way along it.
     t = vx * (ay - cy) - vy * (ax - cx)
     q = t - (vx * (by - cy) - vy * (bx - cx))
-    x = ax * q + t * (bx - ax)
-    y = ay * q + t * (by - ay)
-    g = math.gcd(x, y, q)
-    if q < 0:
-        g = -g
-    return x // g, y // g, q // g
+    d = q * scale
+    return Point(Fraction(ax * q + t * (bx - ax), d), Fraction(ay * q + t * (by - ay), d))
 
 
 def _crossing_ends(chains: tuple[tuple[int, ...], ...]) -> list[list[int]]:
@@ -231,18 +202,6 @@ def _crossing_ends(chains: tuple[tuple[int, ...], ...]) -> list[list[int]]:
         for c in chain:
             ends[c].append(s)
     return ends
-
-
-@functools.lru_cache(maxsize=1)
-def _crossing_xyd(
-    chains: tuple[tuple[int, ...], ...], pts: tuple[tuple[int, int], ...]
-) -> tuple[tuple[int, int, int], ...]:
-    return tuple(_meet(pts, i, j) for i, j in _crossing_ends(chains))
-
-
-@functools.lru_cache(maxsize=1)
-def _crossing_points(xyd: tuple[tuple[int, int, int], ...], scale: int) -> tuple[Point, ...]:
-    return tuple(_scaled_point(x, y, d, scale) for x, y, d in xyd)
 
 
 def _between(a: int, v: int, b: int) -> bool:
@@ -377,14 +336,13 @@ def _pair_table(emb: CycleEmbedding) -> PairTable:
                 ties.append((keyed[m - 1][1], keyed[m][1]))
     chains = tuple(chains)
     # Two crossings at one point of a segment name at least three segments.
-    shared: dict[tuple[int, int, int], set[int]] = {}
+    shared: dict[Point, set[int]] = {}
     if ties:
         ends = _crossing_ends(chains)
         for c, c2 in ties:
-            shared.setdefault(_meet(pts, *ends[c]), set()).update(ends[c], ends[c2])
-    triples = tuple(
-        sorted((_scaled_point(*key, scale), tuple(sorted(ids))) for key, ids in shared.items())
-    )
+            point = _crossing_point(pts, scale, *ends[c])
+            shared.setdefault(point, set()).update(ends[c], ends[c2])
+    triples = tuple(sorted((p, tuple(sorted(ids))) for p, ids in shared.items()))
     report = DegeneracyReport(
         triple_points=triples,
         corner_incidences=tuple(incidences),

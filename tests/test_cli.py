@@ -291,6 +291,16 @@ class TestErrorContract:
             assert code == 0
             assert 'class="segment splitter"' not in svg.read_text()
 
+    def test_error_outside_the_contract_is_not_masked(self, pentagon_file, monkeypatch):
+        # A KeyError maps to no exit code, so main re-raises it, traceback
+        # and all, rather than report it as one of the documented failures.
+        def fail(path):
+            raise KeyError(path)
+
+        monkeypatch.setattr(embedding, "load_embedding", fail)
+        with pytest.raises(KeyError):
+            main(["count", pentagon_file])
+
     @pytest.mark.parametrize("flag", ["--stroke", "--splitter-stroke", "--fill"])
     def test_color_with_markup_characters_is_bad_input(self, tmp_path, capsys, flag):
         # Colors are written into SVG attributes unescaped. The check runs

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from cycleregions import formulas
+from cycleregions import embedding, formulas
 from cycleregions.arrangement import build_arrangement
 from cycleregions.embedding import (
     CycleEmbedding,
@@ -65,6 +65,17 @@ class TestRegularPolygonPoints:
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):
             regular_polygon_points(2, 1, 6)
+
+    @pytest.mark.parametrize("scale", [0, Fraction(-1, 2)])
+    def test_rejects_non_positive_scale(self, scale):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            regular_polygon_points(5, scale, 6)
+
+    def test_rejects_collapsed_vertices(self):
+        # Neighbouring vertices of a 70000-gon are about 9e-5 apart, so at
+        # four digits some round to one point.
+        with pytest.raises(ValueError, match="rounding collapsed two polygon vertices"):
+            regular_polygon_points(70000, 1, 4)
 
 
 class TestCycleEmbedding:
@@ -239,6 +250,26 @@ class TestConstructEven:
             construct_even(7)
         with pytest.raises(InvalidN):
             construct_even(2)
+
+
+def test_construct_perturbs_a_degenerate_placement(monkeypatch):
+    # Even n = 8 on the regular 8-gon, not the 9-gon, has triple points, so
+    # construct must fall back on perturb. Its post-check counts crossing
+    # pairs, not distinct points, so it would pass the degenerate drawing.
+    octagon = regular_polygon_points(8)
+    monkeypatch.setattr(embedding, "regular_polygon_points", lambda k: octagon)
+    assert len(validate_general_position(_place(8)).triple_points) == 4
+    calls = []
+
+    def counting_perturb(*args):
+        calls.append(args)
+        return perturb(*args)
+
+    monkeypatch.setattr(embedding, "perturb", counting_perturb)
+    emb = construct(8)
+    assert len(calls) == 1
+    assert validate_general_position(emb).is_empty()
+    assert build_arrangement(emb).face_count == formulas.f_max(8)
 
 
 def test_construct_dispatches_on_parity():

@@ -215,7 +215,7 @@ def test_table_matches_pairwise_classification(emb):
     table = pair_table(emb)
     n = emb.n
     if any(emb.corners[i] == emb.corners[(i + 1) % n] for i in range(n)):
-        assert table.crossings is None and table.meets is None
+        assert table.crossings is None and table.points is None and table.meets is None
         return
     segs = emb.segments()
     crossings = [[] for _ in range(n)]
