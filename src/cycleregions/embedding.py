@@ -22,9 +22,8 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 from .formulas import InvalidN, construction_order, construction_splitters, max_crossings
 
-Scale = Union[int, Fraction]
-
-DEFAULT_DIGITS = 12
+# Decimal digits of each unit-circle polygon coordinate.
+POLYGON_DIGITS = 12
 PERTURB_RETRIES = 64
 # Perturbation size for the constructions, whose circumradius is 1.
 PERTURB_EPSILON = Fraction(1, 10_000)
@@ -362,18 +361,13 @@ def validate_general_position(emb: CycleEmbedding) -> DegeneracyReport:
     return pair_table(emb).report
 
 
-def perturb(
-    emb: CycleEmbedding,
-    epsilon: Union[int, Fraction],
-    seed: int = 0,
-    max_retries: int = PERTURB_RETRIES,
-) -> CycleEmbedding:
+def perturb(emb: CycleEmbedding, epsilon: Union[int, Fraction], seed: int = 0) -> CycleEmbedding:
     """Displace every corner by a deterministic seeded rational offset of
     magnitude at most epsilon, retrying with fresh offsets until the result
     is in general position.
 
     Identical (emb, epsilon, seed) always yields the identical embedding.
-    Raises PerturbationFailed after max_retries failed attempts and
+    Raises PerturbationFailed after PERTURB_RETRIES failed attempts and
     ValueError for epsilon <= 0 or a negative seed.
     """
     epsilon = Fraction(epsilon)
@@ -381,7 +375,7 @@ def perturb(
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    for attempt in range(max_retries):
+    for attempt in range(PERTURB_RETRIES):
         rng = random.Random(seed * (1 << 32) + attempt)
         moved = []
         for p in emb.corners:
@@ -394,45 +388,40 @@ def perturb(
         if validate_general_position(candidate).is_empty():
             return candidate
     raise PerturbationFailed(
-        f"no general-position embedding within {max_retries} attempts "
+        f"no general-position embedding within {PERTURB_RETRIES} attempts "
         f"(epsilon={epsilon}, seed={seed})"
     )
 
 
-def regular_polygon_points(k: int, scale: Scale = 1, digits: int = DEFAULT_DIGITS) -> list[Point]:
-    """Rational approximations of the k vertices of a regular k-gon of
-    circumradius `scale`, counterclockwise from the positive x axis.
+def regular_polygon_points(k: int) -> list[Point]:
+    """Rational approximations of the k vertices of the regular k-gon
+    inscribed in the unit circle, counterclockwise from the positive x axis.
 
-    Each unit-circle coordinate is cos/sin of 2*pi*j/k rounded to `digits`
-    decimal digits and then scaled. digits must be at least 4 so distinct
-    vertices stay distinct.
+    Each coordinate is cos/sin of 2*pi*j/k rounded to POLYGON_DIGITS = 12
+    decimal digits, which moves it by at most half of 10**-12. Two vertices
+    lie at least 2*sin(pi/k) apart, and two that round to one point lie
+    less than sqrt(2) * 10**-12 apart, so the k points are distinct for
+    every k up to 4 * 10**12.
     """
     if k < 3:
         raise ValueError(f"polygon needs at least 3 vertices, got {k}")
-    if digits < 4:
-        raise ValueError(f"digits must be at least 4, got {digits}")
-    scale = Fraction(scale)
-    if scale <= 0:
-        raise ValueError(f"scale must be positive, got {scale}")
-    unit = 10**digits
-    # round(c * unit) / unit * scale, built as one Fraction: one normalisation.
-    num, den = scale.numerator, unit * scale.denominator
+    unit = 10**POLYGON_DIGITS
     pts = []
     for j in range(k):
         ang = 2.0 * math.pi * j / k
-        x = Fraction(round(math.cos(ang) * unit) * num, den)
-        y = Fraction(round(math.sin(ang) * unit) * num, den)
+        x = Fraction(round(math.cos(ang) * unit), unit)
+        y = Fraction(round(math.sin(ang) * unit), unit)
         pts.append(Point(x, y))
-    if len(set(pts)) != k:
-        raise ValueError("rounding collapsed two polygon vertices; raise digits")
     return pts
 
 
 def _place(n: int) -> CycleEmbedding:
-    # Even n leaves vertex n of the (n+1)-gon unused, between labels n-1
-    # and 0, which is between the endpoints of the two crossing connections.
+    # construction_order checks n. Even n leaves vertex n of the
+    # (n+1)-gon unused, between labels n-1 and 0, which is between the
+    # endpoints of the two crossing connections.
+    order = construction_order(n)
     poly = regular_polygon_points(n if n % 2 else n + 1)
-    return CycleEmbedding(n, tuple(poly[v] for v in construction_order(n)))
+    return CycleEmbedding(n, tuple(poly[v] for v in order))
 
 
 def construct(n: int, seed: int = 0) -> CycleEmbedding:
@@ -442,14 +431,13 @@ def construct(n: int, seed: int = 0) -> CycleEmbedding:
     The corners are in convex position, so the region count is 1 plus the
     order's crossings. ConstructionCheckFailed is raised unless the
     result's pair table has max_crossings(n) crossings (so f(n) regions)
-    and the splitter classes `construction_splitters(n)`. A negative seed
-    raises ValueError: random.Random would seed it as its absolute value.
+    and the splitter classes `construction_splitters(n)`. An n that is not
+    an integer of at least 3 raises InvalidN; a negative seed then raises
+    ValueError, since random.Random would seed it as its absolute value.
     """
-    if n < 3:
-        raise InvalidN(f"n must be at least 3, got {n}")
+    emb = _place(n)
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    emb = _place(n)
     if not validate_general_position(emb).is_empty():
         emb = perturb(emb, PERTURB_EPSILON, seed)
     table = pair_table(emb)

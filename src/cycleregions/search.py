@@ -158,16 +158,15 @@ def oracle_max_regions_convex(n: int) -> OracleResult:
     incumbent starts one below the crossings of `construct(n)`'s own
     order, a real leaf, so a witness always exists, and only a strict
     improvement replaces it. `evaluated_count` counts the orders covered,
-    pruned ones included, and is always (n-1)!/2."""
-    if n < 3:
-        raise InvalidN(f"n must be at least 3, got {n}")
+    pruned ones included, and is always (n-1)!/2. `construction_order`
+    raises InvalidN for an n that is not an integer of at least 3."""
     if n > ORACLE_MAX_N:
         raise NTooLarge(
             f"n={n} exceeds the oracle's limit {ORACLE_MAX_N}; "
             "larger n take too long to search exactly"
         )
-    ids, cross, caps = _chord_table(n)
     best = _crossing_count(construction_order(n)) - 1
+    ids, cross, caps = _chord_table(n)
     witness: tuple[int, ...] = ()
     evaluated = visited = pruned = 0
 
@@ -279,9 +278,9 @@ def splitter_bound_check(n: int, trials: int, seed: int = 0) -> int:
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     from .arrangement import DegenerateInput, splitter_analysis
-    from .embedding import CycleEmbedding, Point, construct_even
+    from .embedding import CycleEmbedding, Point, construct
 
-    best = splitter_analysis(construct_even(n, seed)).splitter_count
+    best = splitter_analysis(construct(n, seed)).splitter_count
     rng = random.Random(seed)
     for trial in range(trials):
         pts = [Point(x, y) for x, y in _random_corners(rng, n)]

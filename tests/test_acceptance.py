@@ -162,7 +162,7 @@ def test_criterion_8_large_even_cases_validate_or_repair():
         if validate_general_position(raw).is_empty():
             branches.append(f"n={n} raw placement already general position")
         else:
-            repaired = perturb(raw, Fraction(1, 10**4), seed=0, max_retries=PERTURB_RETRIES)
+            repaired = perturb(raw, Fraction(1, 10**4), seed=0)
             ok = ok and validate_general_position(repaired).is_empty()
             branches.append(f"n={n} repaired within {PERTURB_RETRIES} retries")
         emb = construct_even(n)

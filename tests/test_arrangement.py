@@ -32,7 +32,7 @@ def P(x, y):
 
 
 def convex(n):
-    return CycleEmbedding(n, tuple(regular_polygon_points(n, 1, 6)))
+    return CycleEmbedding(n, tuple(regular_polygon_points(n)))
 
 
 class TestBuildArrangement:
@@ -72,14 +72,14 @@ class TestBuildArrangement:
             assert sum(vc for vc, _ in arr.per_segment) == 2 * arr.vertex_count
 
     def test_degenerate_input_raises_with_report(self):
-        poly = regular_polygon_points(6, 1, 6)
+        poly = regular_polygon_points(6)
         star = CycleEmbedding(6, tuple(poly[i] for i in (0, 3, 1, 4, 2, 5)))
         with pytest.raises(DegenerateInput) as exc:
             build_arrangement(star)
         assert len(exc.value.report.triple_points) == 1
 
     def test_one_more_crossing_one_more_region(self):
-        square = regular_polygon_points(4, 1, 6)
+        square = regular_polygon_points(4)
         plain = CycleEmbedding(4, tuple(square))
         hourglass = CycleEmbedding(4, (square[0], square[2], square[1], square[3]))
         assert build_arrangement(plain).face_count == 1
@@ -108,7 +108,7 @@ class TestTraversalCounter:
             )
 
     def test_agrees_after_repairing_a_degenerate_drawing(self):
-        poly = regular_polygon_points(6, 1, 6)
+        poly = regular_polygon_points(6)
         star = CycleEmbedding(6, tuple(poly[i] for i in (0, 3, 1, 4, 2, 5)))
         fixed = perturb(star, Fraction(1, 1000), seed=0)
         assert region_count_traversal(fixed) == region_count_euler(
@@ -160,7 +160,7 @@ class TestSplitterAnalysis:
 
     def test_works_on_triple_point_degeneracy(self):
         # splitter counting only needs pairwise intersection kinds
-        poly = regular_polygon_points(6, 1, 6)
+        poly = regular_polygon_points(6)
         star = CycleEmbedding(6, tuple(poly[i] for i in (0, 3, 1, 4, 2, 5)))
         report = splitter_analysis(star)
         assert len(report.per_segment) == 6

@@ -78,7 +78,7 @@ class TestCount:
         assert out.strip().split("\t") == ["5", "10", "15", "6", "6", "5", "0", "0"]
 
     def test_convex_hexagon_single_region(self, tmp_path, capsys):
-        emb = CycleEmbedding(6, tuple(regular_polygon_points(6, 1, 6)))
+        emb = CycleEmbedding(6, tuple(regular_polygon_points(6)))
         path = tmp_path / "hexagon.txt"
         save_embedding(emb, str(path))
         code, out, _ = run(capsys, "count", str(path))
@@ -104,7 +104,7 @@ class TestCount:
         assert "bad input: coordinate '1/-1' is not of the form p/q" in err
 
     def test_degenerate_file(self, tmp_path, capsys):
-        poly = regular_polygon_points(6, 1, 6)
+        poly = regular_polygon_points(6)
         star = CycleEmbedding(6, tuple(poly[i] for i in (0, 3, 1, 4, 2, 5)))
         path = tmp_path / "star.txt"
         save_embedding(star, str(path))

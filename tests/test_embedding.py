@@ -5,7 +5,9 @@ import pytest
 from cycleregions import embedding, formulas
 from cycleregions.arrangement import build_arrangement
 from cycleregions.embedding import (
+    PERTURB_RETRIES,
     CycleEmbedding,
+    DegeneracyReport,
     PerturbationFailed,
     _place,
     construct,
@@ -30,14 +32,14 @@ def P(x, y):
 def hexagon_star():
     """Regular hexagon visited in star order: the three long diagonals
     run through the origin exactly, a genuine triple point."""
-    poly = regular_polygon_points(6, 1, 6)
+    poly = regular_polygon_points(6)
     return CycleEmbedding(6, tuple(poly[i] for i in (0, 3, 1, 4, 2, 5)))
 
 
 class TestRegularPolygonPoints:
     def test_square_is_exact(self):
         # cos/sin of multiples of pi/2 round to exact unit values
-        assert regular_polygon_points(4, 1, 6) == [
+        assert regular_polygon_points(4) == [
             P(1, 0),
             P(0, 1),
             P(-1, 0),
@@ -45,37 +47,17 @@ class TestRegularPolygonPoints:
         ]
 
     def test_points_lie_near_unit_circle(self):
-        for p in regular_polygon_points(11, 1, 6):
-            assert abs(p.x * p.x + p.y * p.y - 1) < Fraction(1, 10**5)
-
-    def test_scale_multiplies_coordinates(self):
-        unit = regular_polygon_points(5, 1, 8)
-        scaled = regular_polygon_points(5, Fraction(7, 2), 8)
-        assert scaled == [P(Fraction(7, 2) * p.x, Fraction(7, 2) * p.y) for p in unit]
+        for p in regular_polygon_points(11):
+            assert abs(p.x * p.x + p.y * p.y - 1) < Fraction(1, 10**11)
 
     def test_pairwise_distinct(self):
         for k in (3, 7, 12, 30):
-            pts = regular_polygon_points(k, 1, 4)
+            pts = regular_polygon_points(k)
             assert len(set(pts)) == k
-
-    def test_rejects_few_digits(self):
-        with pytest.raises(ValueError):
-            regular_polygon_points(5, 1, 3)
 
     def test_rejects_small_k(self):
         with pytest.raises(ValueError):
-            regular_polygon_points(2, 1, 6)
-
-    @pytest.mark.parametrize("scale", [0, Fraction(-1, 2)])
-    def test_rejects_non_positive_scale(self, scale):
-        with pytest.raises(ValueError, match="scale must be positive"):
-            regular_polygon_points(5, scale, 6)
-
-    def test_rejects_collapsed_vertices(self):
-        # Neighbouring vertices of a 70000-gon are about 9e-5 apart, so at
-        # four digits some round to one point.
-        with pytest.raises(ValueError, match="rounding collapsed two polygon vertices"):
-            regular_polygon_points(70000, 1, 4)
+            regular_polygon_points(2)
 
 
 class TestCycleEmbedding:
@@ -107,7 +89,7 @@ class TestValidate:
         assert len(segs) == 3
 
     def test_coincident_corners_detected(self):
-        sq = regular_polygon_points(4, 1, 6)
+        sq = regular_polygon_points(4)
         emb = CycleEmbedding(4, (sq[0], sq[1], sq[0], sq[3]))
         report = validate_general_position(emb)
         assert report.coincident_corners == ((0, 2),)
@@ -169,9 +151,17 @@ class TestPerturb:
         with pytest.raises(ValueError):
             perturb(hexagon_star(), Fraction(-1, 10))
 
-    def test_exhausted_retries_raise(self):
-        with pytest.raises(PerturbationFailed):
-            perturb(hexagon_star(), Fraction(1, 1000), seed=0, max_retries=0)
+    def test_exhausted_retries_raise(self, monkeypatch):
+        attempts = []
+
+        def never_general(emb):
+            attempts.append(emb)
+            return DegeneracyReport(coincident_corners=((0, 2),))
+
+        monkeypatch.setattr(embedding, "validate_general_position", never_general)
+        with pytest.raises(PerturbationFailed, match=f"within {PERTURB_RETRIES} attempts"):
+            perturb(hexagon_star(), Fraction(1, 1000), seed=0)
+        assert len(attempts) == PERTURB_RETRIES
 
     def test_rejects_negative_seed(self):
         # random.Random(-s) is random.Random(s): -1 would repeat seed 1.
@@ -197,7 +187,7 @@ class TestConstructOdd:
         assert build_arrangement(construct_odd(n)).face_count == regions
 
     def test_pentagram_visits_vertices_two_apart(self):
-        poly = regular_polygon_points(5, 1, 12)
+        poly = regular_polygon_points(5)
         emb = construct_odd(5)
         assert emb.corners == tuple(poly[(2 * i) % 5] for i in range(5))
 
@@ -224,7 +214,7 @@ class TestConstructEven:
     def test_raw_placement_leaves_one_polygon_vertex_unused(self):
         n = 8
         raw = _place(n)
-        poly = set(regular_polygon_points(n + 1, 1, 12))
+        poly = set(regular_polygon_points(n + 1))
         used = set(raw.corners)
         assert used < poly
         assert len(poly - used) == 1

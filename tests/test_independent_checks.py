@@ -11,6 +11,7 @@ grid, and a face walk that orders each vertex's neighbours by exact angle.
 
 import functools
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,27 @@ def test_face_walk_matches_angle_sorted_walk_on_random_drawings(xys):
     emb = CycleEmbedding(len(xys), tuple(Point(x, y) for x, y in xys))
     assume(validate_general_position(emb).is_empty())
     assert region_count_traversal(emb) == reference_region_count(emb)
+
+
+@pytest.mark.parametrize("size,checked", [(3, 793), (4, 870), (6, 1058)])
+def test_face_walk_matches_euler_on_small_grid_drawings(size, checked):
+    # Euler's count reads no crossing sign, while the face walk turns by
+    # them. On a 0..size grid many orientation values are exactly 1, which
+    # the 0..1000 drawings above seldom give.
+    grid = [Point(x, y) for x in range(size + 1) for y in range(size + 1)]
+    rng = random.Random(size)
+    drawings = 0
+    mismatches = []
+    for _ in range(1500):
+        corners = tuple(rng.sample(grid, rng.randint(4, 8)))
+        emb = CycleEmbedding(len(corners), corners)
+        if not validate_general_position(emb).is_empty():
+            continue
+        drawings += 1
+        if region_count_traversal(emb) != build_arrangement(emb).face_count:
+            mismatches.append(corners)
+    assert drawings == checked
+    assert not mismatches, f"{len(mismatches)} drawings differ, first {mismatches[0]}"
 
 
 grid_point = st.builds(Point, st.integers(0, 4), st.integers(0, 4))

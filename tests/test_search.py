@@ -56,11 +56,11 @@ def _reference_oracle(n):
     return best + 1, witness, evaluated
 
 
-def realize_on_circle(order, digits=6):
+def realize_on_circle(order):
     """Place label k at vertex k of a regular polygon and visit in the
     given cycle order; nudge into general position if needed."""
     n = len(order)
-    poly = regular_polygon_points(n, 1, digits)
+    poly = regular_polygon_points(n)
     emb = CycleEmbedding(n, tuple(poly[lbl] for lbl in order))
     if not validate_general_position(emb).is_empty():
         emb = perturb(emb, Fraction(1, 10**4), seed=0)
@@ -200,6 +200,24 @@ class TestOracle:
             oracle_max_regions_convex(20)
         with pytest.raises(InvalidN):
             oracle_max_regions_convex(2)
+
+    def test_n_is_checked_by_construction_order(self):
+        # Neither the oracle nor construct checks n itself.
+        with pytest.raises(InvalidN, match="n must be an integer, got 10.0"):
+            oracle_max_regions_convex(10.0)
+        with pytest.raises(InvalidN, match="n must be an integer, got 4.0"):
+            embedding.construct(4.0)
+        with pytest.raises(InvalidN, match="n must be at least 3, got 2"):
+            embedding.construct(2, seed=-1)
+
+    @pytest.mark.parametrize(
+        "n,visited,pruned", [(9, 9, 26), (10, 276, 673), (11, 11, 43), (12, 1336, 4075)]
+    )
+    def test_work_counters(self, n, visited, pruned):
+        # A looser bound still finds every maximum and covers every order;
+        # only the prefixes it enters and skips show it.
+        result = oracle_max_regions_convex(n)
+        assert (result.nodes_visited, result.nodes_pruned) == (visited, pruned)
 
     @pytest.mark.parametrize("n", range(3, 10))
     def test_matches_brute_force(self, n):
