@@ -13,8 +13,6 @@ so the two agreeing checks the counting, not the shared pair
 classification.
 """
 
-from __future__ import annotations
-
 import enum
 from typing import NamedTuple
 

@@ -9,8 +9,6 @@ Each subcommand imports the layers it runs when it runs, so a command
 starts up without the ones it does not need.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 from typing import NamedTuple

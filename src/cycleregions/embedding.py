@@ -6,13 +6,12 @@ format.
 An embedding is the full description of a drawing: n corners in cycle
 order, with segment i joining corner i to corner (i+1) mod n. Corners are
 exact rational `Point`s, so degeneracy detection is a decision, not a
-tolerance. The pair table scales them to integers once and classifies
-every segment pair, touches and overlaps included, in integer arithmetic;
-the `Fraction` predicates of `geometry` are not needed to draw, count or
-check a drawing.
+tolerance. The pair table scales them to integers once and, in one pass
+over the segment pairs in integer arithmetic, classifies every pair,
+touches and overlaps included, and finds every corner that lies inside
+another segment; the `Fraction` predicates of `geometry` are not needed to
+draw, count or check a drawing.
 """
-
-from __future__ import annotations
 
 import math
 import random
@@ -20,7 +19,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .formulas import InvalidN, construction_order, construction_splitters, max_crossings
+from .formulas import InvalidN, check_n, construction_order, construction_splitters, max_crossings
 
 # Decimal digits of each unit-circle polygon coordinate.
 POLYGON_DIGITS = 12
@@ -89,8 +88,7 @@ class CycleEmbedding(_CycleEmbeddingFields):
     __slots__ = ()
 
     def __new__(cls, n: int, corners: Iterable[Point]) -> "CycleEmbedding":
-        if n < 3:
-            raise InvalidN(f"cycle length must be at least 3, got {n}")
+        check_n(n, "cycle length")
         corners = tuple(corners)
         if len(corners) != n:
             raise ValueError(f"expected {n} corners, got {len(corners)}")
@@ -203,10 +201,6 @@ def _crossing_ends(chains: tuple[tuple[int, ...], ...]) -> list[list[int]]:
     return ends
 
 
-def _between(a: int, v: int, b: int) -> bool:
-    return a <= v <= b or b <= v <= a
-
-
 _latest: list = [None, None]  # the latest drawing and its pair table
 
 
@@ -219,13 +213,14 @@ def pair_table(emb: CycleEmbedding) -> PairTable:
 
     The corners are scaled by the lcm of their denominators. That is a
     similarity map, so every orientation sign, and with it every
-    classification, is that of the exact rational drawing. Every pair,
-    touches and collinear overlaps included, is decided from the table of
-    orientations and, for collinear pairs, a projection on one segment's
-    direction; no pair leaves integer arithmetic. Each proper crossing is
-    kept as its exact parameter along each of its two segments, which
-    orders the segments' chains and finds triple points without building
-    a crossing point.
+    classification, is that of the exact rational drawing. One pass over
+    the pairs (i, j), i < j, decides each pair, touches and collinear
+    overlaps included, and whether corner i lies inside segment j or
+    corner j inside segment i, from the table of orientations and, for
+    collinear pairs, a projection on segment i's direction; no pair leaves
+    integer arithmetic. Each proper crossing is kept as its exact parameter
+    along each of its two segments, which orders the segments' chains and
+    finds triple points without building a crossing point.
     """
     if emb is not _latest[0]:
         _latest[:] = emb, _pair_table(emb)
@@ -258,19 +253,9 @@ def _pair_table(emb: CycleEmbedding) -> PairTable:
         ux, uy = bx - ax, by - ay
         side.append([ux * (y - ay) - uy * (x - ax) for x, y in pts])
 
+    # Corner k is where segment k starts, so the pair {k, s} alone decides
+    # whether corner k lies inside segment s.
     incidences = []
-    for k, p in enumerate(pts):
-        for s in range(n):
-            if side[s][k] or s in (k, (k - 1) % n):
-                continue
-            a, b = pts[s], pts[(s + 1) % n]
-            if (
-                p not in (a, b)  # a coincident-corner pair, reported above
-                and _between(a[0], p[0], b[0])
-                and _between(a[1], p[1], b[1])
-            ):
-                incidences.append((k, s))
-
     overlaps = []
     signs: list[int] = []
     # along[s] holds (a, q, c) for each crossing c at a/q of the way along
@@ -307,16 +292,29 @@ def _pair_table(emb: CycleEmbedding) -> PairTable:
                     else:
                         along[j].append((-d1, d2 - d1, c))
                         signs.append(1)
+                # A touch where one segment's corner is strictly inside the
+                # other: corner j on segment i's line with corners i and i+1
+                # strictly apart across segment j's line, or the reverse.
+                elif d1 == 0 and d3 and d4:
+                    incidences.append((j, i))
+                elif d3 == 0 and d1 and d2:
+                    incidences.append((i, j))
             else:
                 # Segment j lies on segment i's line, whose span along u_i is
-                # [0, u_i.u_i]. A gap is disjoint, one point a touch, more an overlap.
+                # [0, u_i.u_i]. A gap is disjoint, one point a touch, more an
+                # overlap. Corner j is at tj along it and corner i at 0.
+                uu = ux * ux + uy * uy
                 tj, tk = ((x - ax) * ux + (y - ay) * uy for x, y in (pts[j], pts[(j + 1) % n]))
                 lo = max(0, min(tj, tk))
-                hi = min(ux * ux + uy * uy, max(tj, tk))
+                hi = min(uu, max(tj, tk))
                 if lo > hi:
                     continue
                 if lo < hi:
                     overlaps.append((i, j))
+                if 0 < tj < uu:
+                    incidences.append((j, i))
+                if min(tj, tk) < 0 < max(tj, tk):
+                    incidences.append((i, j))
             meets[i] += 1
             meets[j] += 1
 
@@ -344,7 +342,7 @@ def _pair_table(emb: CycleEmbedding) -> PairTable:
     triples = tuple(sorted((p, tuple(sorted(ids))) for p, ids in shared.items()))
     report = DegeneracyReport(
         triple_points=triples,
-        corner_incidences=tuple(incidences),
+        corner_incidences=tuple(sorted(incidences)),
         collinear_overlaps=tuple(overlaps),
         coincident_corners=coincident,
     )
@@ -352,7 +350,8 @@ def _pair_table(emb: CycleEmbedding) -> PairTable:
 
 
 def validate_general_position(emb: CycleEmbedding) -> DegeneracyReport:
-    """Exhaustively scan an embedding for degeneracies.
+    """Every degeneracy of an embedding, read from its pair table, whose
+    one pass over the segment pairs finds them all but coincident corners.
 
     General position means: corners pairwise distinct, no corner interior
     to a non-incident segment, no collinear overlapping segments, and no

@@ -8,8 +8,6 @@ of steps of n // 2 and of n // 2 - 1 (see `construction_order`).
 All values are exact integers computed with integer arithmetic only.
 """
 
-from __future__ import annotations
-
 import itertools
 
 # Largest n the exact convex oracle accepts. n = 18, the slowest accepted
@@ -22,11 +20,13 @@ class InvalidN(ValueError):
     """Cycle length below 3 has no embedding with enclosed regions."""
 
 
-def _check_n(n: int) -> None:
+def check_n(n: int, name: str = "n") -> None:
+    """Raise InvalidN unless the cycle length n is an int (not a bool) of
+    at least 3; the message calls it `name`."""
     if not isinstance(n, int) or isinstance(n, bool):
-        raise InvalidN(f"n must be an integer, got {n!r}")
+        raise InvalidN(f"{name} must be an integer, got {n!r}")
     if n < 3:
-        raise InvalidN(f"n must be at least 3, got {n}")
+        raise InvalidN(f"{name} must be at least 3, got {n}")
 
 
 def max_crossings(n: int) -> int:
@@ -38,7 +38,7 @@ def max_crossings(n: int) -> int:
     E = n + 2X edges (each crossing splits two segments) and so, by Euler,
     F = E - V + 1 = X + 1 bounded regions.
     """
-    _check_n(n)
+    check_n(n)
     if n % 2 == 0:
         return n * (n - 4) // 2 + 1
     return n * (n - 3) // 2
@@ -49,7 +49,7 @@ def construction_splitters(n: int) -> tuple[int, int]:
     splitter meets all n-1 other segments, a one-off splitter n-2. Every
     segment of the odd construction is a splitter; the even one has 2
     splitters and n-2 one-off splitters."""
-    _check_n(n)
+    check_n(n)
     if n % 2 == 0:
         return 2, n - 2
     return n, 0
@@ -89,7 +89,7 @@ def construction_order(n: int) -> list[int]:
     {0, h}, {s, n - 1} replaces; the corners sit on n of the n + 1
     vertices of a regular (n + 1)-gon. Both orders reach `max_crossings(n)`
     on a circle."""
-    _check_n(n)
+    check_n(n)
     h = n // 2
     s = h - 1
     steps = [h] * (n - 1) if n % 2 else [h] + [-s] * s + [h] + [s] * (h - 2)

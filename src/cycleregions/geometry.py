@@ -11,8 +11,6 @@ check that table against. No CLI subcommand loads this module. `Point` and
 `Segment` are defined in `embedding` and re-exported here.
 """
 
-from __future__ import annotations
-
 import enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional

@@ -6,8 +6,6 @@ once and only then converted to a float, which is printed with six
 fractional digits.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from typing import NamedTuple, Optional
 

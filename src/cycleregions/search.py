@@ -9,14 +9,12 @@ placements then probe the non-convex territory the closed-form ceiling
 also covers.
 """
 
-from __future__ import annotations
-
 import bisect
 import math
 import random
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .formulas import ORACLE_MAX_N, InvalidN, construction_order
+from .formulas import ORACLE_MAX_N, InvalidN, check_n, construction_order
 
 if TYPE_CHECKING:
     from .embedding import CycleEmbedding
@@ -227,7 +225,7 @@ def _random_cycle_order(rng: random.Random, n: int) -> tuple[int, ...]:
     return tuple([0] + rng.sample(range(1, n), n - 1))
 
 
-def random_search(n: int, trials: int, seed: int = 0) -> tuple[int, CycleEmbedding]:
+def random_search(n: int, trials: int, seed: int = 0) -> "tuple[int, CycleEmbedding]":
     """Probe `trials` seeded random placements, counting regions for the
     fixed order 0..n-1 and for one random cycle order per placement, and
     return the best (region_count, embedding) found.
@@ -236,8 +234,7 @@ def random_search(n: int, trials: int, seed: int = 0) -> tuple[int, CycleEmbeddi
     ValueError. Degenerate samples are nudged into general position before
     counting.
     """
-    if n < 3:
-        raise InvalidN(f"n must be at least 3, got {n}")
+    check_n(n)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     if seed < 0:

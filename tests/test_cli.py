@@ -96,6 +96,13 @@ class TestCount:
         code, _, err = run(capsys, "count", str(path))
         assert code == 2
 
+    def test_cycle_of_two_is_bad_input(self, tmp_path, capsys):
+        path = tmp_path / "two.txt"
+        path.write_text("n 2\ncorner 0/1 0/1\ncorner 1/1 0/1\n")
+        code, out, err = run(capsys, "count", str(path))
+        assert (code, out) == (2, "")
+        assert "bad input: cycle length must be at least 3, got 2" in err
+
     def test_coordinate_outside_the_grammar_is_bad_input(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("n 3\ncorner 1/-1 0/1\ncorner 1/1 0/1\ncorner 0/1 1/1\n")

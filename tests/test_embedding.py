@@ -68,8 +68,14 @@ class TestCycleEmbedding:
         assert segs[2].a == P(0, 1) and segs[2].b == P(0, 0)
 
     def test_rejects_small_n(self):
-        with pytest.raises(InvalidN):
+        with pytest.raises(InvalidN, match="cycle length must be at least 3, got 2"):
             CycleEmbedding(2, (P(0, 0), P(1, 0)))
+
+    def test_rejects_non_integer_n(self):
+        # 4.0 == 4 corners, so only the type check stops it before the
+        # pair table, which needs an int n.
+        with pytest.raises(InvalidN, match="cycle length must be an integer, got 4.0"):
+            CycleEmbedding(4.0, (P(0, 0), P(1, 0), P(1, 1), P(0, 1)))
 
     def test_rejects_wrong_corner_count(self):
         with pytest.raises(ValueError):

@@ -49,3 +49,17 @@ def test_no_module_imports_a_private_name_of_a_sibling():
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def test_no_module_postpones_annotations():
+    # The records are typing.NamedTuples: with postponed annotations typing
+    # compiles each field's annotation string when it builds the class.
+    postponed = [
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and node.module == "__future__"
+        and any(alias.name == "annotations" for alias in node.names)
+    ]
+    assert postponed == []

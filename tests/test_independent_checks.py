@@ -275,7 +275,8 @@ def reference_pair_counts(emb):
 
 
 def test_table_matches_pairwise_classification_on_every_grid_4_cycle():
-    # Every 4-cycle with corners in {0,1,2}^2 and no collapsed segment. So
+    # Every 4-cycle with corners in {0,1,2}^2 and no collapsed segment, its
+    # whole report included: incidences, overlaps and their order. So
     # small a grid is dense in touches, T-junctions and collinear pairs that
     # overlap or abut, which random drawings seldom hit. Two disjoint
     # collinear segments do not fit on a line of three grid points; that
@@ -290,7 +291,8 @@ def test_table_matches_pairwise_classification_on_every_grid_4_cycle():
         emb = CycleEmbedding(4, corners)
         table = pair_table(emb)
         got = (list(table.meets), table.report.collinear_overlaps, len(table.points))
-        if got != reference_pair_counts(emb):
+        report = validate_general_position(emb)
+        if got != reference_pair_counts(emb) or report != reference_report(emb):
             mismatches.append(corners)
     assert drawings == 4104
     assert not mismatches, f"{len(mismatches)} drawings differ, first {mismatches[0]}"

@@ -295,8 +295,10 @@ class TestRandomSearch:
         assert region_count_euler(build_arrangement(emb)) == best
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(InvalidN):
+        with pytest.raises(InvalidN, match="n must be at least 3, got 2"):
             random_search(2, 10)
+        with pytest.raises(InvalidN, match="n must be an integer, got 4.0"):
+            random_search(4.0, 2)
         with pytest.raises(ValueError):
             random_search(5, 0)
 
