@@ -27,7 +27,7 @@ _EXPORTS = {
     "Point": "embedding",
     "PointNotOnSegment": "geometry",
     "RenderOptions": "render",
-    "Segment": "embedding",
+    "Segment": "geometry",
     "SegmentClass": "arrangement",
     "SplitterReport": "arrangement",
     "VertexKind": "arrangement",

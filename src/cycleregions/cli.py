@@ -13,7 +13,7 @@ import argparse
 import sys
 from typing import NamedTuple
 
-from .formulas import ORACLE_MAX_N, construction_splitters, f_max
+from .formulas import ORACLE_MAX_N, check_count, construction_splitters, f_max
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -44,8 +44,7 @@ def _emit(args, pairs: list[tuple[str, object]]) -> None:
 def _check_seed(seed: int) -> None:
     # random.Random seeds an int by its absolute value, so -s would
     # silently repeat the run of s.
-    if seed < 0:
-        raise ValueError(f"--seed must be non-negative, got {seed}")
+    check_count(seed, "--seed", 0)
 
 
 def cmd_construct(args) -> int:

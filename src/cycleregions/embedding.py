@@ -1,16 +1,16 @@
-"""Cycle embeddings: the exact point and segment records, corner
-placements, the two extremal constructions, the pair table behind
-general-position validation, deterministic perturbation, and the text file
-format.
+"""Cycle embeddings: the exact point record, corner placements, the two
+extremal constructions, the pair table behind general-position
+validation, deterministic perturbation, and the text file format.
 
 An embedding is the full description of a drawing: n corners in cycle
-order, with segment i joining corner i to corner (i+1) mod n. Corners are
-exact rational `Point`s, so degeneracy detection is a decision, not a
-tolerance. The pair table scales them to integers once and, in one pass
-over the segment pairs in integer arithmetic, classifies every pair,
-touches and overlaps included, and finds every corner that lies inside
-another segment; the `Fraction` predicates of `geometry` are not needed to
-draw, count or check a drawing.
+order, with segment i joining corner i to corner (i+1) mod n. A segment
+has no record of its own; every reader takes it as that pair of corners.
+Corners are exact rational `Point`s, so degeneracy detection is a
+decision, not a tolerance. The pair table scales them to integers once
+and, in one pass over the segment pairs in integer arithmetic, classifies
+every pair, touches and overlaps included, and finds every corner that
+lies inside another segment; the `Fraction` predicates of `geometry` are
+not needed to draw, count or check a drawing.
 """
 
 import math
@@ -19,7 +19,9 @@ import re
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .formulas import InvalidN, check_n, construction_order, construction_splitters, max_crossings
+from .formulas import (
+    InvalidN, check_count, check_n, construction_order, construction_splitters, max_crossings
+)
 
 # Decimal digits of each unit-circle polygon coordinate.
 POLYGON_DIGITS = 12
@@ -55,27 +57,6 @@ class Point(_PointFields):
         return super().__new__(cls, Fraction(x), Fraction(y))
 
 
-class _SegmentFields(NamedTuple):
-    a: Point
-    b: Point
-    cycle_index: int = 0
-
-
-class Segment(_SegmentFields):
-    """Closed segment from a to b.
-
-    cycle_index records which cycle connection the segment embeds; it is 0
-    for free-standing segments built in tests or tools.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, a: Point, b: Point, cycle_index: int = 0) -> "Segment":
-        if a == b:
-            raise ValueError("segment endpoints coincide")
-        return super().__new__(cls, a, b, cycle_index)
-
-
 class _CycleEmbeddingFields(NamedTuple):
     n: int
     corners: tuple[Point, ...]
@@ -93,12 +74,6 @@ class CycleEmbedding(_CycleEmbeddingFields):
         if len(corners) != n:
             raise ValueError(f"expected {n} corners, got {len(corners)}")
         return super().__new__(cls, n, corners)
-
-    def segment(self, i: int) -> Segment:
-        return Segment(self.corners[i], self.corners[(i + 1) % self.n], i)
-
-    def segments(self) -> list[Segment]:
-        return [self.segment(i) for i in range(self.n)]
 
 
 class DegeneracyReport(NamedTuple):
@@ -367,13 +342,12 @@ def perturb(emb: CycleEmbedding, epsilon: Union[int, Fraction], seed: int = 0) -
 
     Identical (emb, epsilon, seed) always yields the identical embedding.
     Raises PerturbationFailed after PERTURB_RETRIES failed attempts and
-    ValueError for epsilon <= 0 or a negative seed.
+    ValueError for epsilon <= 0 or a seed that `check_count` rejects.
     """
     epsilon = Fraction(epsilon)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    check_count(seed, "seed", 0)
     for attempt in range(PERTURB_RETRIES):
         rng = random.Random(seed * (1 << 32) + attempt)
         moved = []
@@ -431,12 +405,11 @@ def construct(n: int, seed: int = 0) -> CycleEmbedding:
     order's crossings. ConstructionCheckFailed is raised unless the
     result's pair table has max_crossings(n) crossings (so f(n) regions)
     and the splitter classes `construction_splitters(n)`. An n that is not
-    an integer of at least 3 raises InvalidN; a negative seed then raises
-    ValueError, since random.Random would seed it as its absolute value.
+    an integer of at least 3 raises InvalidN; then a seed that is not an
+    int of at least 0 raises ValueError: random.Random seeds -s as s.
     """
     emb = _place(n)
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    check_count(seed, "seed", 0)
     if not validate_general_position(emb).is_empty():
         emb = perturb(emb, PERTURB_EPSILON, seed)
     table = pair_table(emb)

@@ -29,6 +29,15 @@ def check_n(n: int, name: str = "n") -> None:
         raise InvalidN(f"{name} must be at least 3, got {n}")
 
 
+def check_count(value: int, name: str, least: int) -> None:
+    """Raise ValueError unless the seed or trial count `name` is an int
+    (not a bool) of at least `least`, which is 0 or 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be {'positive' if least else 'non-negative'}, got {value}")
+
+
 def max_crossings(n: int) -> int:
     """Largest self-crossing count X of a straight-line n-cycle:
     n(n-3)/2 for odd n, n(n-4)/2 + 1 for even n (W. H. Furry and

@@ -7,15 +7,32 @@ the even-cycle constructions are deliberately near-degenerate and epsilon
 tests would misclassify them. The pair table in `embedding` classifies a
 drawing's pairs on its own, in integers, and calls none of these
 predicates; they remain public API and the independent reference the tests
-check that table against. No CLI subcommand loads this module. `Point` and
-`Segment` are defined in `embedding` and re-exported here.
+check that table against. No CLI subcommand loads this module. `Segment`,
+the closed segment these predicates take, is defined here; `Point` is
+defined in `embedding` and re-exported here.
 """
 
 import enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
-from .embedding import Point, Segment
+from .embedding import Point
+
+
+class _SegmentFields(NamedTuple):
+    a: Point
+    b: Point
+
+
+class Segment(_SegmentFields):
+    """Closed segment from a to b."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: Point, b: Point) -> "Segment":
+        if a == b:
+            raise ValueError("segment endpoints coincide")
+        return super().__new__(cls, a, b)
 
 
 class PointNotOnSegment(ValueError):

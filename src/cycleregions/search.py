@@ -14,7 +14,7 @@ import math
 import random
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .formulas import ORACLE_MAX_N, InvalidN, check_n, construction_order
+from .formulas import ORACLE_MAX_N, InvalidN, check_count, check_n, construction_order
 
 if TYPE_CHECKING:
     from .embedding import CycleEmbedding
@@ -156,8 +156,10 @@ def oracle_max_regions_convex(n: int) -> OracleResult:
     incumbent starts one below the crossings of `construct(n)`'s own
     order, a real leaf, so a witness always exists, and only a strict
     improvement replaces it. `evaluated_count` counts the orders covered,
-    pruned ones included, and is always (n-1)!/2. `construction_order`
-    raises InvalidN for an n that is not an integer of at least 3."""
+    pruned ones included, and is always (n-1)!/2. An n that is not an
+    integer of at least 3 raises InvalidN, and one above ORACLE_MAX_N
+    NTooLarge before any order is built."""
+    check_n(n)
     if n > ORACLE_MAX_N:
         raise NTooLarge(
             f"n={n} exceeds the oracle's limit {ORACLE_MAX_N}; "
@@ -230,15 +232,13 @@ def random_search(n: int, trials: int, seed: int = 0) -> "tuple[int, CycleEmbedd
     fixed order 0..n-1 and for one random cycle order per placement, and
     return the best (region_count, embedding) found.
 
-    Deterministic for identical (n, trials, seed); a negative seed raises
-    ValueError. Degenerate samples are nudged into general position before
-    counting.
+    Deterministic for identical (n, trials, seed); trials below 1, a seed
+    below 0, or either not an int raises ValueError. Degenerate samples
+    are nudged into general position before counting.
     """
     check_n(n)
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    check_count(trials, "trials", 1)
+    check_count(seed, "seed", 0)
     from .arrangement import build_arrangement, region_count_euler
     from .embedding import CycleEmbedding, Point, perturb, validate_general_position
 
@@ -266,14 +266,13 @@ def splitter_bound_check(n: int, trials: int, seed: int = 0) -> int:
     `trials` random placements with random cycle orders.
 
     For even n no embedding has more than two splitters; this returns the
-    largest count seen so the caller can assert the bound.
+    largest count seen so the caller can assert the bound. trials and seed
+    must be ints of at least 0, or ValueError is raised.
     """
     if n < 4 or n % 2 == 1:
         raise InvalidN(f"splitter bound applies to even n >= 4, got {n}")
-    if trials < 0:
-        raise ValueError(f"trials must be non-negative, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    check_count(trials, "trials", 0)
+    check_count(seed, "seed", 0)
     from .arrangement import DegenerateInput, splitter_analysis
     from .embedding import CycleEmbedding, Point, construct
 

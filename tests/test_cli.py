@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -350,3 +354,30 @@ def test_negative_seed_is_bad_input(argv, tmp_path, capsys):
     assert out == ""
     assert err == "bad input: --seed must be non-negative, got -1\n"
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "n,code,out,err",
+    [
+        (
+            "6",
+            0,
+            "n: 6\nmax_regions: 8\nf_max: 8\nevaluated: 60\nwitness: 0,2,4,1,5,3\nstatus: PASS\n",
+            "",
+        ),
+        ("2", 2, "", "bad input: n must be at least 3, got 2\n"),
+    ],
+)
+def test_module_entry_point(n, code, out, err):
+    # The benchmark runs every command as a module, the one way that runs
+    # the CLI's `sys.exit(main())`.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "cycleregions.cli", "oracle", "--n", n],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)

@@ -61,12 +61,6 @@ class TestRegularPolygonPoints:
 
 
 class TestCycleEmbedding:
-    def test_segments_close_the_cycle(self):
-        emb = CycleEmbedding(3, (P(0, 0), P(1, 0), P(0, 1)))
-        segs = emb.segments()
-        assert [s.cycle_index for s in segs] == [0, 1, 2]
-        assert segs[2].a == P(0, 1) and segs[2].b == P(0, 0)
-
     def test_rejects_small_n(self):
         with pytest.raises(InvalidN, match="cycle length must be at least 3, got 2"):
             CycleEmbedding(2, (P(0, 0), P(1, 0)))

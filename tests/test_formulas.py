@@ -5,6 +5,7 @@ import pytest
 
 from cycleregions.formulas import (
     InvalidN,
+    check_count,
     construction_order,
     f_max,
     max_crossings,
@@ -73,3 +74,23 @@ def test_construction_orders_are_pinned():
     for n in range(3, 1001):
         digest.update((",".join(map(str, construction_order(n))) + "\n").encode())
     assert digest.hexdigest() == "39582ef59ddcf3e78e4cc3e9240e189cfc624749fd552e144aa10b5dd0011e84"
+
+
+@pytest.mark.parametrize(
+    "value,least,message",
+    [
+        (2.5, 1, "trials must be an integer, got 2.5"),
+        (True, 0, "trials must be an integer, got True"),
+        ("3", 0, "trials must be an integer, got '3'"),
+        (0, 1, "trials must be positive, got 0"),
+        (-1, 0, "trials must be non-negative, got -1"),
+    ],
+)
+def test_check_count_rejects(value, least, message):
+    with pytest.raises(ValueError, match=message):
+        check_count(value, "trials", least)
+
+
+def test_check_count_accepts_the_least_value():
+    check_count(0, "seed", 0)
+    check_count(1, "trials", 1)

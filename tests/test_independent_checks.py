@@ -31,11 +31,18 @@ from cycleregions.formulas import f_max
 from cycleregions.geometry import (
     IntersectionKind,
     Point,
+    Segment,
     point_on_segment,
     segment_intersection,
     sort_points_along,
 )
 from cycleregions.search import _crossing_count
+
+
+def segments(emb):
+    """The drawing's segments as records; segment i, from corner i to
+    corner i+1, is at index i."""
+    return [Segment(p, q) for p, q in zip(emb.corners, emb.corners[1:] + emb.corners[:1])]
 
 
 def _ccw_key(base, pts):
@@ -58,7 +65,7 @@ def reference_region_count(emb):
     """Bounded faces of a general-position drawing, subdivided pair by pair
     with segment_intersection and sort_points_along and walked with each
     vertex's neighbours sorted by exact angle."""
-    segs = emb.segments()
+    segs = segments(emb)
     on = [[] for _ in segs]
     for i in range(emb.n):
         for j in range(i + 1, emb.n):
@@ -104,12 +111,12 @@ def reference_report(emb):
     )
     if any((j - i) % n in (1, n - 1) for i, j in coincident):
         return DegeneracyReport(coincident_corners=coincident)
-    segs = emb.segments()
+    segs = segments(emb)
     incidences = tuple(
-        (k, s.cycle_index)
+        (k, i)
         for k, p in enumerate(corners)
-        for s in segs
-        if s.cycle_index not in (k, (k - 1) % n)
+        for i, s in enumerate(segs)
+        if i not in (k, (k - 1) % n)
         and p not in (s.a, s.b)
         and point_on_segment(p, s)
     )
@@ -239,7 +246,7 @@ def test_table_matches_pairwise_classification(emb):
     if any(emb.corners[i] == emb.corners[(i + 1) % n] for i in range(n)):
         assert table.crossings is None and table.points is None and table.meets is None
         return
-    segs = emb.segments()
+    segs = segments(emb)
     crossings = [[] for _ in range(n)]
     meets = [0] * n
     for i in range(n):
@@ -259,7 +266,7 @@ def reference_pair_counts(emb):
     """How many other segments each segment meets, the overlapping pairs
     and the number of properly crossing pairs, rebuilt pair by pair from
     segment_intersection."""
-    segs = emb.segments()
+    segs = segments(emb)
     meets = [0] * emb.n
     overlaps = []
     crossings = 0

@@ -133,7 +133,6 @@ def test_geometry_reexports_the_embedding_records():
     from cycleregions import embedding, geometry
 
     assert geometry.Point is embedding.Point
-    assert geometry.Segment is embedding.Segment
 
 
 def test_all_is_unchanged():

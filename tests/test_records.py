@@ -30,7 +30,7 @@ def test_segment_rejects_coincident_endpoints():
     p = Point(3, 4)
     with pytest.raises(ValueError, match="coincide"):
         Segment(p, p)
-    assert Segment(p, Point(0, 0)) == (p, (0, 0), 0)
+    assert Segment(p, Point(0, 0)) == (p, (0, 0))
 
 
 def test_cycle_embedding_rejects_bad_input():
@@ -62,7 +62,8 @@ def test_arrangement_vertices_are_the_pairwise_crossings(n):
     assert vertices[:n] == tuple((p, VertexKind.CORNER) for p in emb.corners)
     crossings = {p for p, kind in vertices if kind is VertexKind.CROSSING}
     pairwise = set()
-    for s1, s2 in itertools.combinations(emb.segments(), 2):
+    segments = [Segment(p, q) for p, q in zip(emb.corners, emb.corners[1:] + emb.corners[:1])]
+    for s1, s2 in itertools.combinations(segments, 2):
         hit = segment_intersection(s1, s2)
         if hit.kind is IntersectionKind.PROPER_CROSSING:
             pairwise.add(hit.point)

@@ -201,10 +201,16 @@ class TestOracle:
         with pytest.raises(InvalidN):
             oracle_max_regions_convex(2)
 
+    def test_n_is_checked_before_the_size_limit(self, monkeypatch):
+        with pytest.raises(InvalidN, match="n must be an integer, got 20.0"):
+            oracle_max_regions_convex(20.0)
+        # A huge n is refused before its cycle order is built.
+        monkeypatch.setattr(search, "construction_order", None)
+        with pytest.raises(NTooLarge, match="n=1000000000 exceeds"):
+            oracle_max_regions_convex(10**9)
+
     def test_n_is_checked_by_construction_order(self):
-        # Neither the oracle nor construct checks n itself.
-        with pytest.raises(InvalidN, match="n must be an integer, got 10.0"):
-            oracle_max_regions_convex(10.0)
+        # construct does not check n itself.
         with pytest.raises(InvalidN, match="n must be an integer, got 4.0"):
             embedding.construct(4.0)
         with pytest.raises(InvalidN, match="n must be at least 3, got 2"):
@@ -373,3 +379,26 @@ class TestSplitterBound:
     def test_rejects_negative_trials(self):
         with pytest.raises(ValueError, match="trials must be non-negative, got -1"):
             splitter_bound_check(6, -1)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: random_search(5, 2.5), "trials must be an integer, got 2.5"),
+        (lambda: random_search(5, True), "trials must be an integer, got True"),
+        (lambda: random_search(5, 2, seed=True), "seed must be an integer, got True"),
+        (lambda: splitter_bound_check(6, 1.5), "trials must be an integer, got 1.5"),
+        (lambda: splitter_bound_check(6, 2, seed=1.0), "seed must be an integer, got 1.0"),
+        (lambda: embedding.construct(5, seed=2.5), "seed must be an integer, got 2.5"),
+        (
+            lambda: perturb(embedding.construct(4), 1, seed=True),
+            "seed must be an integer, got True",
+        ),
+    ],
+)
+def test_seed_and_trials_must_be_integers(call, message):
+    # random.Random takes a float or bool seed and range() refuses a float
+    # count, so each is rejected up front with one message.
+    with pytest.raises(ValueError, match=message) as caught:
+        call()
+    assert type(caught.value) is ValueError
