@@ -198,6 +198,14 @@ class TestSearch:
         b = run(capsys, "search", "--n", "5", "--trials", "20", "--format", "tsv")
         assert a == b
 
+    def test_best_is_pinned_for_each_seed(self, capsys):
+        bests = []
+        for seed in range(8):
+            code, out, _ = run(capsys, "search", "--n", "8", "--trials", "25", "--seed", str(seed))
+            assert code == 0
+            bests += [int(line[6:]) for line in out.splitlines() if line.startswith("best: ")]
+        assert bests == [15, 15, 14, 13, 10, 14, 14, 13]
+
 
 class TestRender:
     def test_writes_svg(self, pentagon_file, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -8,10 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cycleregions import arrangement, embedding, search
-from cycleregions.arrangement import build_arrangement, region_count_euler
+from cycleregions.arrangement import (
+    build_arrangement,
+    region_count_euler,
+    region_count_traversal,
+)
 from cycleregions.embedding import (
     CycleEmbedding,
     construction_order,
+    format_embedding,
     perturb,
     regular_polygon_points,
     validate_general_position,
@@ -331,6 +337,43 @@ class TestRandomSearch:
         assert (best, emb) == random_search(n, 40, seed=1)
         assert validate_general_position(emb).is_empty()
         assert best == build_arrangement(emb).face_count <= f_max(n)
+
+
+def _probe_digest(monkeypatch, ns, result) -> str:
+    """sha256 over result(n, seed) for each n of ns, seeds 0 and 1, and
+    corners drawn on 0..10**6, 0..2 and 0..3. On the 3x3 and 4x4 grids
+    most draws are degenerate, so the repair and skip paths are pinned
+    along with the general-position count."""
+    h = hashlib.sha256()
+    for coord_range in (10**6, 2, 3):
+        monkeypatch.setattr(search, "COORD_RANGE", coord_range)
+        for n in ns:
+            for seed in (0, 1):
+                h.update(f"{result(n, seed)}\n".encode())
+    return h.hexdigest()
+
+
+def test_random_search_results_are_pinned(monkeypatch):
+    def result(n, seed):
+        best, emb = random_search(n, 30, seed)
+        return f"{best}\n{format_embedding(emb)}"
+
+    digest = _probe_digest(monkeypatch, (3, 4, 5, 6, 8), result)
+    assert digest == "722c36825cb98bf319e1be476daa11476cb3d08d06b22e33059e74ff51988e9a"
+
+
+def test_splitter_bound_check_results_are_pinned(monkeypatch):
+    digest = _probe_digest(monkeypatch, (4, 6, 8), lambda n, seed: splitter_bound_check(n, 40, seed))
+    assert digest == "6539b6b6dc6a7f47644d0e39563a1e04069e95d2f4837b998e2d6414abf8bc82"
+
+
+@pytest.mark.parametrize("coord_range", [10**6, 2, 3])
+@pytest.mark.parametrize("n", [4, 5, 8])
+def test_probe_count_is_what_both_counters_read(monkeypatch, coord_range, n):
+    # The search counts crossings + 1 and never walks a face.
+    monkeypatch.setattr(search, "COORD_RANGE", coord_range)
+    best, emb = random_search(n, 30, seed=n)
+    assert best == region_count_euler(build_arrangement(emb)) == region_count_traversal(emb)
 
 
 def test_random_corners_skip_repeated_points(monkeypatch):
