@@ -179,9 +179,9 @@ def cmd_oracle(args) -> int:
 
 def cmd_search(args) -> int:
     _check_seed(args.seed)
-    from .search import random_search
+    from .search import best_region_count
 
-    best, _ = random_search(args.n, args.trials, args.seed)
+    best, _, _ = best_region_count(args.n, args.trials, args.seed)
     bound = f_max(args.n)
     status = "PASS" if best <= bound else "FAIL"
     _emit(
@@ -199,8 +199,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_render(args) -> int:
-    if args.width <= 0 or args.height <= 0:
-        raise ValueError(f"render size must be positive, got {args.width}x{args.height}")
+    from .render import RenderOptions, check_size, to_svg
+
+    check_size(args.width, args.height)
     # Colors land inside SVG attribute values unescaped, and the SVG is ASCII.
     # Only the colors given are passed on; RenderOptions owns the defaults.
     colors = {}
@@ -218,7 +219,6 @@ def cmd_render(args) -> int:
             )
         colors[name] = color
     from .embedding import load_embedding
-    from .render import RenderOptions, to_svg
 
     emb = load_embedding(args.path)
     opts = RenderOptions(

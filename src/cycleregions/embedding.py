@@ -7,10 +7,12 @@ order, with segment i joining corner i to corner (i+1) mod n. A segment
 has no record of its own; every reader takes it as that pair of corners.
 Corners are exact rational `Point`s, so degeneracy detection is a
 decision, not a tolerance. The pair table scales them to integers once
-and, in one pass over the segment pairs in integer arithmetic, classifies
-every pair, touches and overlaps included, and finds every corner that
-lies inside another segment; the `Fraction` predicates of `geometry` are
-not needed to draw, count or check a drawing.
+and hands them to `pairs.classify_pairs`, whose one pass over the segment
+pairs in integer arithmetic classifies every pair, touches and overlaps
+included, and finds every corner that lies inside another segment. This
+module adds only what needs `Fraction`: the scaling, the triple points and
+the records. The `Fraction` predicates of `geometry` are not needed to
+draw, count or check a drawing.
 """
 
 import math
@@ -22,6 +24,7 @@ from typing import Iterable, NamedTuple, Optional, Union
 from .formulas import (
     InvalidN, check_count, check_n, construction_order, construction_splitters, max_crossings
 )
+from .pairs import classify_pairs
 
 # Decimal digits of each unit-circle polygon coordinate.
 POLYGON_DIGITS = 12
@@ -117,11 +120,9 @@ class PairTable(NamedTuple):
     """A drawing's DegeneracyReport, how many other segments each segment
     meets, and its proper crossings.
 
-    Crossing ids follow pair order: crossing c is the c-th properly
-    crossing pair (i, j), i < j, in lexicographic order. chains[i] lists
-    the ids of segment i's crossings from corner i toward corner i+1, and
-    signs[c] is the sign of cross(u_i, u_j) for the directions u_i, u_j of
-    the crossing's two segments. Crossings stay integers: `corners` holds
+    meets, chains and signs are those of `pairs.PairClasses`, whose
+    crossing c is the c-th properly crossing pair (i, j), i < j, in
+    lexicographic order. Crossings stay integers: `corners` holds
     the corners scaled by `scale` to integers, and the crossing points, as
     `points` or `crossings`, are built from them afresh on each read; no
     command reads them. Everything but the report, the corners and scale
@@ -188,14 +189,10 @@ def pair_table(emb: CycleEmbedding) -> PairTable:
 
     The corners are scaled by the lcm of their denominators. That is a
     similarity map, so every orientation sign, and with it every
-    classification, is that of the exact rational drawing. One pass over
-    the pairs (i, j), i < j, decides each pair, touches and collinear
-    overlaps included, and whether corner i lies inside segment j or
-    corner j inside segment i, from the table of orientations and, for
-    collinear pairs, a projection on segment i's direction; no pair leaves
-    integer arithmetic. Each proper crossing is kept as its exact parameter
-    along each of its two segments, which orders the segments' chains and
-    finds triple points without building a crossing point.
+    classification, is that of the exact rational drawing.
+    `pairs.classify_pairs` decides each pair of the scaled corners in
+    integer arithmetic; only the crossings it finds at one point are built
+    as `Point`s, for the report's triple points.
     """
     if emb is not _latest[0]:
         _latest[:] = emb, _pair_table(emb)
@@ -203,125 +200,27 @@ def pair_table(emb: CycleEmbedding) -> PairTable:
 
 
 def _pair_table(emb: CycleEmbedding) -> PairTable:
-    n = emb.n
     scale = math.lcm(*(c.denominator for p in emb.corners for c in (p.x, p.y)))
     pts = tuple(
         (p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
         for p in emb.corners
     )
-    coincident = tuple(
-        (i, j) for i in range(n) for j in range(i + 1, n) if pts[i] == pts[j]
-    )
-    # Coinciding adjacent corners collapse a segment entirely; nothing
-    # further can be measured, so report just the coincidences.
-    if any((j - i) % n in (1, n - 1) for i, j in coincident):
-        return PairTable(
-            DegeneracyReport(coincident_corners=coincident), None, None, None, pts, scale
-        )
-
-    # side[s][k] = cross(corner s, corner s+1, corner k): its sign tells
-    # which side of segment s's line corner k lies on.
-    side = []
-    for s in range(n):
-        ax, ay = pts[s]
-        bx, by = pts[(s + 1) % n]
-        ux, uy = bx - ax, by - ay
-        side.append([ux * (y - ay) - uy * (x - ax) for x, y in pts])
-
-    # Corner k is where segment k starts, so the pair {k, s} alone decides
-    # whether corner k lies inside segment s.
-    incidences = []
-    overlaps = []
-    signs: list[int] = []
-    # along[s] holds (a, q, c) for each crossing c at a/q of the way along
-    # segment s from corner s, with 0 < a < q.
-    along: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-    meets = [0] * n
-    for i in range(n):
-        si = side[i]
-        on_i = along[i]
-        i1 = (i + 1) % n
-        ax, ay = pts[i]
-        ux, uy = pts[i1][0] - ax, pts[i1][1] - ay
-        for j in range(i + 1, n):
-            d1 = si[j]
-            d2 = si[(j + 1) % n]
-            if (d1 > 0 and d2 > 0) or (d1 < 0 and d2 < 0):
-                continue
-            if d1 or d2:
-                d3 = side[j][i]
-                d4 = side[j][i1]
-                if (d3 > 0 and d4 > 0) or (d3 < 0 and d4 < 0):
-                    continue
-                # The lines differ and neither segment lies strictly on one side
-                # of the other's line, so they meet: inside both when all four
-                # signs are strict, else in a touch. Segment j's line crosses
-                # segment i at d3/(d3-d4) along it, segment i's line crosses
-                # segment j at d1/(d1-d2), and d2 - d1 = cross(u_i, u_j).
-                if d1 and d2 and d3 and d4:
-                    c = len(signs)
-                    on_i.append((d3, d3 - d4, c) if d3 > 0 else (-d3, d4 - d3, c))
-                    if d1 > 0:
-                        along[j].append((d1, d1 - d2, c))
-                        signs.append(-1)
-                    else:
-                        along[j].append((-d1, d2 - d1, c))
-                        signs.append(1)
-                # A touch where one segment's corner is strictly inside the
-                # other: corner j on segment i's line with corners i and i+1
-                # strictly apart across segment j's line, or the reverse.
-                elif d1 == 0 and d3 and d4:
-                    incidences.append((j, i))
-                elif d3 == 0 and d1 and d2:
-                    incidences.append((i, j))
-            else:
-                # Segment j lies on segment i's line, whose span along u_i is
-                # [0, u_i.u_i]. A gap is disjoint, one point a touch, more an
-                # overlap. Corner j is at tj along it and corner i at 0.
-                uu = ux * ux + uy * uy
-                tj, tk = ((x - ax) * ux + (y - ay) * uy for x, y in (pts[j], pts[(j + 1) % n]))
-                lo = max(0, min(tj, tk))
-                hi = min(uu, max(tj, tk))
-                if lo > hi:
-                    continue
-                if lo < hi:
-                    overlaps.append((i, j))
-                if 0 < tj < uu:
-                    incidences.append((j, i))
-                if min(tj, tk) < 0 < max(tj, tk):
-                    incidences.append((i, j))
-            meets[i] += 1
-            meets[j] += 1
-
-    # Two distinct fractions a/q in one list, whose q are at most qmax,
-    # differ by at least 1/qmax^2, so shifting a left by twice qmax's bit
-    # length and flooring by q keeps their order and their ties: an exact
-    # integer key for the order along the segment.
-    chains = []
-    ties = []  # pairs of crossings at one point of a segment
-    for on in along:
-        shift = 2 * max([q for _, q, _ in on], default=0).bit_length()
-        keyed = sorted(((a << shift) // q, c) for a, q, c in on)
-        chains.append(tuple(c for _, c in keyed))
-        for m in range(1, len(keyed)):
-            if keyed[m][0] == keyed[m - 1][0]:
-                ties.append((keyed[m - 1][1], keyed[m][1]))
-    chains = tuple(chains)
+    pairs = classify_pairs(pts)
     # Two crossings at one point of a segment name at least three segments.
     shared: dict[Point, set[int]] = {}
-    if ties:
-        ends = _crossing_ends(chains)
-        for c, c2 in ties:
+    if pairs.ties:
+        ends = _crossing_ends(pairs.chains)
+        for c, c2 in pairs.ties:
             point = _crossing_point(pts, scale, *ends[c])
             shared.setdefault(point, set()).update(ends[c], ends[c2])
     triples = tuple(sorted((p, tuple(sorted(ids))) for p, ids in shared.items()))
     report = DegeneracyReport(
         triple_points=triples,
-        corner_incidences=tuple(sorted(incidences)),
-        collinear_overlaps=tuple(overlaps),
-        coincident_corners=coincident,
+        corner_incidences=pairs.incidences,
+        collinear_overlaps=pairs.overlaps,
+        coincident_corners=pairs.coincident,
     )
-    return PairTable(report, tuple(meets), chains, tuple(signs), pts, scale)
+    return PairTable(report, pairs.meets, pairs.chains, pairs.signs, pts, scale)
 
 
 def validate_general_position(emb: CycleEmbedding) -> DegeneracyReport:
@@ -374,10 +273,10 @@ def regular_polygon_points(k: int) -> list[Point]:
     decimal digits, which moves it by at most half of 10**-12. Two vertices
     lie at least 2*sin(pi/k) apart, and two that round to one point lie
     less than sqrt(2) * 10**-12 apart, so the k points are distinct for
-    every k up to 4 * 10**12.
+    every k up to 4 * 10**12. A k that is not an int of at least 3 raises
+    InvalidN.
     """
-    if k < 3:
-        raise ValueError(f"polygon needs at least 3 vertices, got {k}")
+    check_n(k, "polygon vertex count")
     unit = 10**POLYGON_DIGITS
     pts = []
     for j in range(k):

@@ -27,6 +27,13 @@ class RenderOptions(NamedTuple):
     fill: str = "#f2d9a0"
 
 
+def check_size(width: int, height: int) -> None:
+    """Raise ValueError unless the viewport's width and height are both
+    positive."""
+    if width <= 0 or height <= 0:
+        raise ValueError(f"render size must be positive, got {width}x{height}")
+
+
 def _fmt(v: float) -> str:
     return f"{v:.6f}"
 
@@ -34,13 +41,15 @@ def _fmt(v: float) -> str:
 def to_svg(emb: CycleEmbedding, options: Optional[RenderOptions] = None) -> str:
     """Render an embedding to SVG text.
 
-    The viewport fits the exact corner bounding box with a 5% margin.
+    The viewport fits the exact corner bounding box with a 5% margin; a
+    width or height that is not positive raises ValueError.
     With highlight_splitters, segments meeting all n-1 others get the
     splitter stroke. Region shading is a single even-odd fill of the
     closed polyline; it is illustrative only and can hide regions the
     even-odd rule cancels.
     """
     opts = options or RenderOptions()
+    check_size(opts.width, opts.height)
     xs = [p.x for p in emb.corners]
     ys = [p.y for p in emb.corners]
     minx, maxx = min(xs), max(xs)

@@ -7,14 +7,21 @@ settled exactly by a branch and bound over cycle orders, pruned with the
 side-switch bound behind the Furry-Kleitman crossing maximum; random
 placements then probe the non-convex territory the closed-form ceiling
 also covers.
+
+A random placement has integer corners, and in general position it
+encloses crossings + 1 regions, so the probes count with
+`pairs.classify_pairs` alone. Only a degenerate draw, repaired by
+`embedding.perturb`, and the `CycleEmbedding` that `random_search`
+returns load the exact rational layer.
 """
 
 import bisect
 import math
 import random
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .formulas import ORACLE_MAX_N, InvalidN, check_count, check_n, construction_order
+from .pairs import classify_pairs
 
 if TYPE_CHECKING:
     from .embedding import CycleEmbedding
@@ -227,38 +234,62 @@ def _random_cycle_order(rng: random.Random, n: int) -> tuple[int, ...]:
     return tuple([0] + rng.sample(range(1, n), n - 1))
 
 
-def random_search(n: int, trials: int, seed: int = 0) -> "tuple[int, CycleEmbedding]":
+def _drawing(corners: tuple[tuple[int, int], ...], repair_seed: Optional[int]) -> "CycleEmbedding":
+    """The integer corners as a CycleEmbedding, nudged into general position
+    by `perturb(drawing, 1, repair_seed)` unless repair_seed is None."""
+    from .embedding import CycleEmbedding, Point, perturb
+
+    emb = CycleEmbedding(len(corners), tuple(Point(x, y) for x, y in corners))
+    return emb if repair_seed is None else perturb(emb, 1, repair_seed)
+
+
+def best_region_count(
+    n: int, trials: int, seed: int = 0
+) -> tuple[int, tuple[tuple[int, int], ...], Optional[int]]:
     """Probe `trials` seeded random placements, counting regions for the
     fixed order 0..n-1 and for one random cycle order per placement, and
-    return the best (region_count, embedding) found.
+    return the best count, that draw's integer corners in cycle order, and
+    the seed that repaired it, or None if it needed no repair.
 
-    Deterministic for identical (n, trials, seed); trials below 1, a seed
-    below 0, or either not an int raises ValueError. Degenerate samples
-    are nudged into general position before counting.
+    A general-position draw encloses crossings + 1 regions, read from its
+    `classify_pairs` in integers. A degenerate draw is nudged into general
+    position by `_drawing`, which loads the `Fraction` layer, and counted
+    from its pair table. Deterministic for identical (n, trials, seed);
+    trials below 1, a seed below 0, or either not an int raises ValueError.
     """
     check_n(n)
     check_count(trials, "trials", 1)
     check_count(seed, "seed", 0)
-    from .arrangement import build_arrangement, region_count_euler
-    from .embedding import CycleEmbedding, Point, perturb, validate_general_position
-
     rng = random.Random(seed)
-    best_count = -1
-    best_emb: CycleEmbedding | None = None
+    best = (-1, (), None)
     identity = tuple(range(n))
     for trial in range(trials):
-        pts = [Point(x, y) for x, y in _random_corners(rng, n)]
+        pts = _random_corners(rng, n)
         for order in (identity, _random_cycle_order(rng, n)):
-            emb = CycleEmbedding(n, tuple(pts[lbl] for lbl in order))
+            corners = tuple(pts[lbl] for lbl in order)
             repair_seed = rng.getrandbits(32)
-            if not validate_general_position(emb).is_empty():
-                emb = perturb(emb, 1, repair_seed)
-            count = region_count_euler(build_arrangement(emb))
-            if count > best_count:
-                best_count = count
-                best_emb = emb
-    assert best_emb is not None
-    return best_count, best_emb
+            pairs = classify_pairs(corners)
+            degenerate = pairs.coincident or pairs.incidences or pairs.overlaps or pairs.ties
+            if degenerate:
+                from .embedding import pair_table
+
+                count = len(pair_table(_drawing(corners, repair_seed)).signs) + 1
+            else:
+                count = len(pairs.signs) + 1
+            if count > best[0]:
+                best = (count, corners, repair_seed if degenerate else None)
+    return best
+
+
+def random_search(n: int, trials: int, seed: int = 0) -> "tuple[int, CycleEmbedding]":
+    """`best_region_count(n, trials, seed)` with the best draw as a
+    CycleEmbedding, repaired as it was when counted.
+
+    Deterministic for identical (n, trials, seed); trials below 1, a seed
+    below 0, or either not an int raises ValueError.
+    """
+    best, corners, repair_seed = best_region_count(n, trials, seed)
+    return best, _drawing(corners, repair_seed)
 
 
 def splitter_bound_check(n: int, trials: int, seed: int = 0) -> int:
@@ -273,18 +304,17 @@ def splitter_bound_check(n: int, trials: int, seed: int = 0) -> int:
         raise InvalidN(f"splitter bound applies to even n >= 4, got {n}")
     check_count(trials, "trials", 0)
     check_count(seed, "seed", 0)
-    from .arrangement import DegenerateInput, splitter_analysis
-    from .embedding import CycleEmbedding, Point, construct
+    from .arrangement import splitter_analysis
+    from .embedding import construct
 
     best = splitter_analysis(construct(n, seed)).splitter_count
     rng = random.Random(seed)
     for trial in range(trials):
-        pts = [Point(x, y) for x, y in _random_corners(rng, n)]
+        pts = _random_corners(rng, n)
         order = _random_cycle_order(rng, n)
-        emb = CycleEmbedding(n, tuple(pts[lbl] for lbl in order))
-        try:
-            report = splitter_analysis(emb)
-        except DegenerateInput:
+        pairs = classify_pairs(tuple(pts[lbl] for lbl in order))
+        # The corners are distinct, so meets is never None.
+        if pairs.overlaps:
             continue  # collinear overlap: vanishing probability, skip the draw
-        best = max(best, report.splitter_count)
+        best = max(best, pairs.meets.count(n - 1))
     return best

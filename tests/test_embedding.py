@@ -56,8 +56,14 @@ class TestRegularPolygonPoints:
             assert len(set(pts)) == k
 
     def test_rejects_small_k(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidN, match="polygon vertex count must be at least 3, got 2"):
             regular_polygon_points(2)
+
+    @pytest.mark.parametrize("k", [3.0, True])
+    def test_rejects_a_k_that_is_not_an_int(self, k):
+        # range(3.0) would raise TypeError, and True would count as 1.
+        with pytest.raises(InvalidN, match=f"polygon vertex count must be an integer, got {k}"):
+            regular_polygon_points(k)
 
 
 class TestCycleEmbedding:

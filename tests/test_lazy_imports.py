@@ -100,21 +100,31 @@ def test_count_loads_neither_search_nor_render(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,reached",
     [
-        ["construct", "--n", "6", "--out", "{dir}/c6.txt"],
-        ["count", "{dir}/c6.txt"],
-        ["render", "{dir}/c6.txt", "--highlight-splitters", "--out", "{dir}/c6.svg"],
-        ["verify", "--n-max", "6"],
-        ["search", "--n", "8", "--trials", "2"],
+        pytest.param(argv, reached, id=argv[0])
+        for argv, reached in [
+            (["construct", "--n", "6", "--out", "{dir}/c6.txt"], "embedding"),
+            (["count", "{dir}/c6.txt"], "embedding"),
+            (["render", "{dir}/c6.txt", "--highlight-splitters", "--out", "{dir}/c6.svg"], "embedding"),
+            (["verify", "--n-max", "6"], "embedding"),
+            (["search", "--n", "8", "--trials", "2"], "pairs"),
+        ]
     ],
-    ids=lambda argv: argv[0],
 )
-def test_geometry_commands_load_neither_dataclasses_nor_inspect(tmp_path, argv):
+def test_geometry_commands_load_neither_dataclasses_nor_inspect(tmp_path, argv, reached):
     cycleregions.save_embedding(cycleregions.construct(6), str(tmp_path / "c6.txt"))
     loaded = loaded_after(RUN_CLI, *(arg.format(dir=tmp_path) for arg in argv))
-    assert "cycleregions.embedding" in loaded  # the run did reach the geometry
+    assert f"cycleregions.{reached}" in loaded  # the run did reach the geometry
     assert loaded.isdisjoint(["cycleregions.geometry", "dataclasses", "inspect"])
+
+
+def test_search_counts_without_the_fraction_layer():
+    # Random integer draws are counted from their pair classification; only
+    # a draw that needs repair would load embedding and fractions.
+    loaded = loaded_after(RUN_CLI, "search", "--n", "8", "--trials", "2")
+    assert "cycleregions.pairs" in loaded
+    assert loaded.isdisjoint(LAYERS + ["fractions", "decimal"])
 
 
 def test_import_loads_a_layer_only_on_first_use():

@@ -1,5 +1,7 @@
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from cycleregions.embedding import construct_even, construct_odd
 from cycleregions.render import RenderOptions, to_svg
 
@@ -27,6 +29,14 @@ def test_viewport_and_version():
     assert root.get("height") == "500"
     assert root.get("version") == "1.1"
     assert root.get("viewBox") == "0 0 800 500"
+
+
+@pytest.mark.parametrize("size,shown", [((0, 640), "0x640"), ((640, -1), "640x-1")])
+def test_rejects_a_size_that_is_not_positive(size, shown):
+    # A zero or negative viewBox side is an SVG error.
+    opts = RenderOptions(width=size[0], height=size[1])
+    with pytest.raises(ValueError, match=f"render size must be positive, got {shown}"):
+        to_svg(construct_odd(5), opts)
 
 
 def test_coordinates_use_six_fractional_digits():

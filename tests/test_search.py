@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycleregions import arrangement, embedding, search
+from cycleregions import embedding, search
 from cycleregions.arrangement import (
     build_arrangement,
     region_count_euler,
@@ -398,16 +398,15 @@ class TestSplitterBound:
     def test_skips_degenerate_draws_on_a_small_grid(self, n, monkeypatch):
         monkeypatch.setattr(search, "COORD_RANGE", 2)
         skipped = []
-        true_analysis = arrangement.splitter_analysis
+        true_classify = search.classify_pairs
 
-        def counted_analysis(emb):
-            try:
-                return true_analysis(emb)
-            except arrangement.DegenerateInput:
-                skipped.append(emb)
-                raise
+        def counted_classify(corners):
+            pairs = true_classify(corners)
+            if pairs.overlaps:
+                skipped.append(corners)
+            return pairs
 
-        monkeypatch.setattr(arrangement, "splitter_analysis", counted_analysis)
+        monkeypatch.setattr(search, "classify_pairs", counted_classify)
         assert splitter_bound_check(n, 60, seed=2) == 2
         assert skipped
 
