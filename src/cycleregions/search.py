@@ -12,7 +12,8 @@ A random placement has integer corners, and in general position it
 encloses crossings + 1 regions, so the probes count with
 `pairs.classify_pairs` alone. Only a degenerate draw, repaired by
 `embedding.perturb`, and the `CycleEmbedding` that `random_search`
-returns load the exact rational layer.
+returns load the exact rational layer. The probes import `pairs` when
+they run, so the oracle loads neither.
 """
 
 import bisect
@@ -21,7 +22,6 @@ import random
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .formulas import ORACLE_MAX_N, InvalidN, check_count, check_n, construction_order
-from .pairs import classify_pairs
 
 if TYPE_CHECKING:
     from .embedding import CycleEmbedding
@@ -260,6 +260,8 @@ def best_region_count(
     check_n(n)
     check_count(trials, "trials", 1)
     check_count(seed, "seed", 0)
+    from .pairs import classify_pairs
+
     rng = random.Random(seed)
     best = (-1, (), None)
     identity = tuple(range(n))
@@ -306,6 +308,7 @@ def splitter_bound_check(n: int, trials: int, seed: int = 0) -> int:
     check_count(seed, "seed", 0)
     from .arrangement import splitter_analysis
     from .embedding import construct
+    from .pairs import classify_pairs
 
     best = splitter_analysis(construct(n, seed)).splitter_count
     rng = random.Random(seed)

@@ -88,7 +88,7 @@ RUN_CLI = "import sys\nimport cycleregions.cli as cli\nassert cli.main(sys.argv[
 def test_oracle_loads_no_geometry_fractions_or_dataclasses():
     loaded = loaded_after(RUN_CLI, "oracle", "--n", "6")
     assert "cycleregions.search" in loaded  # the run did reach the oracle
-    assert loaded.isdisjoint(LAYERS + ["fractions", "dataclasses"])
+    assert loaded.isdisjoint(LAYERS + ["cycleregions.pairs", "fractions", "dataclasses"])
 
 
 def test_count_loads_neither_search_nor_render(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycleregions import embedding, search
+from cycleregions import embedding, pairs, search
 from cycleregions.arrangement import (
     build_arrangement,
     region_count_euler,
@@ -398,15 +398,15 @@ class TestSplitterBound:
     def test_skips_degenerate_draws_on_a_small_grid(self, n, monkeypatch):
         monkeypatch.setattr(search, "COORD_RANGE", 2)
         skipped = []
-        true_classify = search.classify_pairs
+        true_classify = pairs.classify_pairs
 
         def counted_classify(corners):
-            pairs = true_classify(corners)
-            if pairs.overlaps:
+            classes = true_classify(corners)
+            if classes.overlaps:
                 skipped.append(corners)
-            return pairs
+            return classes
 
-        monkeypatch.setattr(search, "classify_pairs", counted_classify)
+        monkeypatch.setattr(pairs, "classify_pairs", counted_classify)
         assert splitter_bound_check(n, 60, seed=2) == 2
         assert skipped
 
