@@ -32,6 +32,7 @@ from cycleregions.search import (
     _chord_table,
     _crossing_count,
     _random_corners,
+    best_region_count,
     crossing_count_convex,
     oracle_max_regions_convex,
     random_search,
@@ -374,6 +375,20 @@ def test_probe_count_is_what_both_counters_read(monkeypatch, coord_range, n):
     monkeypatch.setattr(search, "COORD_RANGE", coord_range)
     best, emb = random_search(n, 30, seed=n)
     assert best == region_count_euler(build_arrangement(emb)) == region_count_traversal(emb)
+
+
+def test_a_draw_whose_only_fault_is_a_triple_point_is_repaired(monkeypatch):
+    # Segments 0, 2 and 4 of this star meet at (2, 2); no corner lies on
+    # another segment and no segments overlap.
+    star = [(0, 0), (4, 4), (4, 0), (0, 4), (2, 0), (2, 4)]
+    monkeypatch.setattr(search, "_random_corners", lambda rng, n: star)
+    monkeypatch.setattr(search, "_random_cycle_order", lambda rng, n: tuple(range(n)))
+    best, corners, repair_seed = best_region_count(6, 1)
+    assert corners == tuple(star)
+    assert repair_seed is not None
+    count, emb = random_search(6, 1)
+    assert validate_general_position(emb).is_empty()
+    assert count == best == region_count_traversal(emb)
 
 
 def test_random_corners_skip_repeated_points(monkeypatch):
