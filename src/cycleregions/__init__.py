@@ -12,18 +12,18 @@ __version__ = "0.1.0"
 # Public name -> the module that defines it.
 _EXPORTS = {
     "Arrangement": "arrangement",
-    "ConstructionCheckFailed": "embedding",
+    "ConstructionCheckFailed": "formulas",
     "CycleEmbedding": "embedding",
     "CyclicPermutation": "search",
     "DegeneracyReport": "embedding",
-    "DegenerateInput": "arrangement",
+    "DegenerateInput": "formulas",
     "Intersection": "geometry",
     "IntersectionKind": "geometry",
     "InvalidN": "formulas",
-    "NTooLarge": "search",
+    "NTooLarge": "formulas",
     "OracleResult": "search",
     "Orientation": "geometry",
-    "PerturbationFailed": "embedding",
+    "PerturbationFailed": "formulas",
     "Point": "embedding",
     "PointNotOnSegment": "geometry",
     "RenderOptions": "render",

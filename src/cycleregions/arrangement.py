@@ -16,15 +16,8 @@ classification.
 import enum
 from typing import NamedTuple
 
-from .embedding import CycleEmbedding, DegeneracyReport, PairTable, Point, pair_table
-
-
-class DegenerateInput(ValueError):
-    """Embedding is not in general position; carries the full report."""
-
-    def __init__(self, report: DegeneracyReport):
-        super().__init__(f"embedding is degenerate: {report.summary()}")
-        self.report = report
+from .embedding import CycleEmbedding, PairTable, Point, pair_table
+from .formulas import DegenerateInput
 
 
 class VertexKind(enum.Enum):

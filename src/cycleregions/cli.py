@@ -14,6 +14,7 @@ import sys
 from typing import NamedTuple
 
 from .formulas import ORACLE_MAX_N, check_count, construction_splitters, f_max
+from .formulas import ConstructionCheckFailed, DegenerateInput, PerturbationFailed
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -316,11 +317,7 @@ def main(argv=None) -> int:
 
 def _exit_code(exc: Exception) -> int | None:
     """Report a failure on stderr and return its exit code, or None for
-    an exception outside the error contract. The layers' exception classes
-    are imported here, so only a failing command loads them."""
-    from .arrangement import DegenerateInput
-    from .embedding import ConstructionCheckFailed, PerturbationFailed
-
+    an exception outside the error contract."""
     if isinstance(exc, DegenerateInput):
         print(f"degenerate geometry: {exc.report.summary()}", file=sys.stderr)
         return EXIT_DEGENERATE

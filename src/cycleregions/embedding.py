@@ -22,7 +22,8 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .formulas import (
-    InvalidN, check_count, check_n, construction_order, construction_splitters, max_crossings
+    ConstructionCheckFailed, InvalidN, PerturbationFailed, check_count, check_n,
+    construction_order, construction_splitters, max_crossings,
 )
 from .pairs import classify_pairs
 
@@ -36,14 +37,6 @@ _OFFSET_GRID = 10**6
 # The file format's only spellings of a count and of a coordinate.
 _COUNT = re.compile("[0-9]+")
 _RATIONAL = re.compile("(-?[0-9]+)/([0-9]+)")
-
-
-class PerturbationFailed(RuntimeError):
-    """No general-position embedding found within the retry budget."""
-
-
-class ConstructionCheckFailed(RuntimeError):
-    """A construction missed max_crossings(n) or its splitter classes."""
 
 
 class _PointFields(NamedTuple):

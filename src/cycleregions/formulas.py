@@ -20,6 +20,27 @@ class InvalidN(ValueError):
     """Cycle length below 3 has no embedding with enclosed regions."""
 
 
+class NTooLarge(ValueError):
+    """Convex oracle refused: n is above ORACLE_MAX_N, past which the
+    exact search takes more than a few seconds."""
+
+
+class DegenerateInput(ValueError):
+    """Embedding is not in general position; carries the full report."""
+
+    def __init__(self, report):
+        super().__init__(f"embedding is degenerate: {report.summary()}")
+        self.report = report
+
+
+class PerturbationFailed(RuntimeError):
+    """No general-position embedding found within the retry budget."""
+
+
+class ConstructionCheckFailed(RuntimeError):
+    """A construction missed max_crossings(n) or its splitter classes."""
+
+
 def check_n(n: int, name: str = "n") -> None:
     """Raise InvalidN unless the cycle length n is an int (not a bool) of
     at least 3; the message calls it `name`."""

@@ -9,8 +9,9 @@ fractional digits.
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .arrangement import DegenerateInput, SegmentClass, splitter_analysis
+from .arrangement import SegmentClass, splitter_analysis
 from .embedding import CycleEmbedding
+from .formulas import DegenerateInput
 
 MARGIN = Fraction(5, 100)  # of the viewport, on every side
 STROKE_WIDTH = 2.0

@@ -21,17 +21,12 @@ import math
 import random
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .formulas import ORACLE_MAX_N, InvalidN, check_count, check_n, construction_order
+from .formulas import ORACLE_MAX_N, InvalidN, NTooLarge, check_count, check_n, construction_order
 
 if TYPE_CHECKING:
     from .embedding import CycleEmbedding
 
 COORD_RANGE = 10**6  # random placements draw integer grid coordinates here
-
-
-class NTooLarge(ValueError):
-    """Convex oracle refused: n is above ORACLE_MAX_N, past which the
-    exact search takes more than a few seconds."""
 
 
 class _CyclicPermutationFields(NamedTuple):
