@@ -2,8 +2,11 @@
 
 Exit codes: 0 success, 2 bad input, 3 I/O failure, 4 degenerate geometry
 or failed perturbation, 5 verification failure or a construction that
-misses its own post-check. Every randomized command prints its seed so any
-run can be reproduced from its own log.
+misses its own post-check. `_exit_code` holds that contract; the exception
+classes it reads are all defined in `formulas`, so reporting a failure
+loads no layer. Any other exception is a bug, and `main` re-raises it.
+Every randomized command prints its seed so any run can be reproduced from
+its own log.
 
 Each subcommand imports the layers it runs when it runs, so a command
 starts up without the ones it does not need.
@@ -14,7 +17,7 @@ import sys
 from typing import NamedTuple
 
 from .formulas import ORACLE_MAX_N, check_count, construction_splitters, f_max
-from .formulas import ConstructionCheckFailed, DegenerateInput, PerturbationFailed
+from .formulas import BadInput, ConstructionCheckFailed, DegenerateInput, PerturbationFailed
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -42,14 +45,8 @@ def _emit(args, pairs: list[tuple[str, object]]) -> None:
             print(f"{key}: {v}")
 
 
-def _check_seed(seed: int) -> None:
-    # random.Random seeds an int by its absolute value, so -s would
-    # silently repeat the run of s.
-    check_count(seed, "--seed", 0)
-
-
 def cmd_construct(args) -> int:
-    _check_seed(args.seed)
+    check_count(args.seed, "--seed", 0)
     from .arrangement import build_arrangement
     from .embedding import construct, save_embedding
 
@@ -137,9 +134,9 @@ def verify_rows(n_min: int, n_max: int, seed: int) -> list[VerifyRow]:
 
 
 def cmd_verify(args) -> int:
-    _check_seed(args.seed)
+    check_count(args.seed, "--seed", 0)
     if args.n_min < 3 or args.n_max < args.n_min:
-        raise ValueError(f"bad range [{args.n_min}, {args.n_max}]")
+        raise BadInput(f"bad range [{args.n_min}, {args.n_max}]")
     rows = verify_rows(args.n_min, args.n_max, args.seed)
     if args.format == "tsv":
         for row in rows:
@@ -179,7 +176,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_search(args) -> int:
-    _check_seed(args.seed)
+    check_count(args.seed, "--seed", 0)
     from .search import best_region_count
 
     best, _, _ = best_region_count(args.n, args.trials, args.seed)
@@ -215,7 +212,7 @@ def cmd_render(args) -> int:
         if color is None:
             continue
         if not color.isascii() or any(ch in color for ch in "\"'<>&"):
-            raise ValueError(
+            raise BadInput(
                 f"{flag} must not contain non-ASCII characters or any of \" ' < > &, got {color!r}"
             )
         colors[name] = color
@@ -327,7 +324,7 @@ def _exit_code(exc: Exception) -> int | None:
     if isinstance(exc, ConstructionCheckFailed):
         print(f"construction check failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
-    if isinstance(exc, ValueError):  # InvalidN and NTooLarge included
+    if isinstance(exc, BadInput):  # InvalidN and NTooLarge included
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     if isinstance(exc, OSError):

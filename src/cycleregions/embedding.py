@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .formulas import (
-    ConstructionCheckFailed, InvalidN, PerturbationFailed, check_count, check_n,
+    BadInput, ConstructionCheckFailed, InvalidN, PerturbationFailed, check_count, check_n,
     construction_order, construction_splitters, max_crossings,
 )
 from .pairs import classify_pairs
@@ -385,5 +385,13 @@ def save_embedding(emb: CycleEmbedding, path: str) -> None:
 
 
 def load_embedding(path: str) -> CycleEmbedding:
+    """Read and parse an embedding file. Any ValueError on the way, such as
+    a non-ASCII byte or a number past `int`'s digit limit, is raised as
+    BadInput with the same message."""
     with open(path, "r", encoding="ascii") as fh:
-        return parse_embedding(fh.read())
+        try:
+            return parse_embedding(fh.read())
+        except BadInput:
+            raise
+        except ValueError as exc:
+            raise BadInput(str(exc)) from exc

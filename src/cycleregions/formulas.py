@@ -6,6 +6,10 @@ The cycle order is one step rule for both parities: running sums, mod n,
 of steps of n // 2 and of n // 2 - 1 (see `construction_order`).
 
 All values are exact integers computed with integer arithmetic only.
+
+This leaf module also defines every exception class of the command line's
+error contract, which `cli._exit_code` maps to exit codes, so reporting a
+failure loads no other module of the package.
 """
 
 import itertools
@@ -16,11 +20,16 @@ import itertools
 ORACLE_MAX_N = 19
 
 
-class InvalidN(ValueError):
+class BadInput(ValueError):
+    """Input from outside the program that a command refuses: an option,
+    an argument or an embedding file."""
+
+
+class InvalidN(BadInput):
     """Cycle length below 3 has no embedding with enclosed regions."""
 
 
-class NTooLarge(ValueError):
+class NTooLarge(BadInput):
     """Convex oracle refused: n is above ORACLE_MAX_N, past which the
     exact search takes more than a few seconds."""
 
@@ -51,12 +60,14 @@ def check_n(n: int, name: str = "n") -> None:
 
 
 def check_count(value: int, name: str, least: int) -> None:
-    """Raise ValueError unless the seed or trial count `name` is an int
-    (not a bool) of at least `least`, which is 0 or 1."""
+    """Raise BadInput unless the seed or trial count `name` is an int
+    (not a bool) of at least `least`, which is 0 or 1. A seed's least is 0:
+    random.Random seeds an int by its absolute value, so a seed of -s
+    would silently repeat the run of s."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise BadInput(f"{name} must be an integer, got {value!r}")
     if value < least:
-        raise ValueError(f"{name} must be {'positive' if least else 'non-negative'}, got {value}")
+        raise BadInput(f"{name} must be {'positive' if least else 'non-negative'}, got {value}")
 
 
 def max_crossings(n: int) -> int:

@@ -11,7 +11,7 @@ from typing import NamedTuple, Optional
 
 from .arrangement import SegmentClass, splitter_analysis
 from .embedding import CycleEmbedding
-from .formulas import DegenerateInput
+from .formulas import BadInput, DegenerateInput
 
 MARGIN = Fraction(5, 100)  # of the viewport, on every side
 STROKE_WIDTH = 2.0
@@ -29,10 +29,10 @@ class RenderOptions(NamedTuple):
 
 
 def check_size(width: int, height: int) -> None:
-    """Raise ValueError unless the viewport's width and height are both
+    """Raise BadInput unless the viewport's width and height are both
     positive."""
     if width <= 0 or height <= 0:
-        raise ValueError(f"render size must be positive, got {width}x{height}")
+        raise BadInput(f"render size must be positive, got {width}x{height}")
 
 
 def _fmt(v: float) -> str:
@@ -43,7 +43,7 @@ def to_svg(emb: CycleEmbedding, options: Optional[RenderOptions] = None) -> str:
     """Render an embedding to SVG text.
 
     The viewport fits the exact corner bounding box with a 5% margin; a
-    width or height that is not positive raises ValueError.
+    width or height that is not positive raises BadInput.
     With highlight_splitters, segments meeting all n-1 others get the
     splitter stroke. Region shading is a single even-odd fill of the
     closed polyline; it is illustrative only and can hide regions the

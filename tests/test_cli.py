@@ -114,6 +114,29 @@ class TestCount:
         assert code == 2
         assert "bad input: coordinate '1/-1' is not of the form p/q" in err
 
+    def test_non_ascii_byte_is_bad_input(self, tmp_path, capsys):
+        path = tmp_path / "accent.txt"
+        path.write_bytes(b"n 3\ncorner 0/1 0/1\ncorner 1/1 0/1\ncorner 0/1 \xc3\xa9/1\n")
+        code, out, err = run(capsys, "count", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "bad input: 'ascii' codec can't decode byte 0xc3 in position 45:"
+            " ordinal not in range(128)\n"
+        )
+
+    def test_number_past_the_int_digit_limit_is_bad_input(self, tmp_path, capsys):
+        # int() refuses a string of more than sys.get_int_max_str_digits()
+        # digits; its message, which varies between Python versions, is the
+        # one printed.
+        digits = "1" * 5000
+        with pytest.raises(ValueError) as limit:
+            int(digits)
+        path = tmp_path / "long.txt"
+        path.write_text(f"n 3\ncorner 0/1 0/1\ncorner {digits}/1 0/1\ncorner 0/1 1/1\n")
+        code, out, err = run(capsys, "count", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"bad input: {limit.value}\n"
+
     def test_degenerate_file(self, tmp_path, capsys):
         poly = regular_polygon_points(6)
         star = CycleEmbedding(6, tuple(poly[i] for i in (0, 3, 1, 4, 2, 5)))
@@ -311,14 +334,18 @@ class TestErrorContract:
             assert 'class="segment splitter"' not in svg.read_text()
 
     def test_error_outside_the_contract_is_not_masked(self, pentagon_file, monkeypatch):
-        # A KeyError maps to no exit code, so main re-raises it, traceback
-        # and all, rather than report it as one of the documented failures.
-        def fail(path):
-            raise KeyError(path)
+        # An error raised inside the program maps to no exit code, so main
+        # re-raises it, traceback and all, rather than report it as one of
+        # the documented failures. Only BadInput, not any ValueError, is
+        # bad input.
+        for error in (KeyError, ValueError):
 
-        monkeypatch.setattr(embedding, "load_embedding", fail)
-        with pytest.raises(KeyError):
-            main(["count", pentagon_file])
+            def fail(path):
+                raise error(path)
+
+            monkeypatch.setattr(embedding, "load_embedding", fail)
+            with pytest.raises(error):
+                main(["count", pentagon_file])
 
     @pytest.mark.parametrize("flag", ["--stroke", "--splitter-stroke", "--fill"])
     def test_color_with_markup_characters_is_bad_input(self, tmp_path, capsys, flag):

@@ -82,7 +82,13 @@ def loaded_after(script: str, *args: str) -> set[str]:
     return set(json.loads(proc.stderr.splitlines()[-1]))
 
 
-RUN_CLI = "import sys\nimport cycleregions.cli as cli\nassert cli.main(sys.argv[1:]) == 0"
+def cli_script(code: int) -> str:
+    """A script that runs cli.main on its arguments and asserts that it
+    returns `code`."""
+    return f"import sys\nimport cycleregions.cli as cli\nassert cli.main(sys.argv[1:]) == {code}"
+
+
+RUN_CLI = cli_script(0)
 
 
 def test_oracle_loads_no_geometry_fractions_or_dataclasses():
@@ -125,6 +131,19 @@ def test_search_counts_without_the_fraction_layer():
     loaded = loaded_after(RUN_CLI, "search", "--n", "8", "--trials", "2")
     assert "cycleregions.pairs" in loaded
     assert loaded.isdisjoint(LAYERS + ["fractions", "decimal"])
+
+
+@pytest.mark.parametrize(
+    "argv", [["search", "--n", "8", "--trials", "0"], ["oracle", "--n", "20"]], ids=["search", "oracle"]
+)
+def test_failed_command_loads_no_geometry_layer(argv):
+    # Every exception class of the error contract lives in formulas, which
+    # every command loads, so reporting a failure imports nothing more.
+    loaded = loaded_after(cli_script(2), *argv)
+    assert "cycleregions.search" in loaded  # the command did run
+    assert loaded.isdisjoint(
+        ["cycleregions.arrangement", "cycleregions.embedding", "cycleregions.pairs", "fractions", "decimal"]
+    )
 
 
 def test_import_loads_a_layer_only_on_first_use():

@@ -22,7 +22,7 @@ from cycleregions.embedding import (
     regular_polygon_points,
     validate_general_position,
 )
-from cycleregions.formulas import InvalidN, f_max, max_crossings
+from cycleregions.formulas import BadInput, InvalidN, f_max, max_crossings
 from cycleregions.search import (
     ORACLE_MAX_N,
     CyclicPermutation,
@@ -458,4 +458,4 @@ def test_seed_and_trials_must_be_integers(call, message):
     # count, so each is rejected up front with one message.
     with pytest.raises(ValueError, match=message) as caught:
         call()
-    assert type(caught.value) is ValueError
+    assert type(caught.value) is BadInput
