@@ -134,16 +134,16 @@ def test_search_counts_without_the_fraction_layer():
 
 
 @pytest.mark.parametrize(
-    "argv", [["search", "--n", "8", "--trials", "0"], ["oracle", "--n", "20"]], ids=["search", "oracle"]
+    "argv",
+    [["search", "--n", "8", "--trials", "0"], ["oracle", "--n", "20"]],
+    ids=["search", "oracle"],
 )
 def test_failed_command_loads_no_geometry_layer(argv):
     # Every exception class of the error contract lives in formulas, which
     # every command loads, so reporting a failure imports nothing more.
     loaded = loaded_after(cli_script(2), *argv)
     assert "cycleregions.search" in loaded  # the command did run
-    assert loaded.isdisjoint(
-        ["cycleregions.arrangement", "cycleregions.embedding", "cycleregions.pairs", "fractions", "decimal"]
-    )
+    assert loaded.isdisjoint(LAYERS + ["cycleregions.pairs", "fractions", "decimal"])
 
 
 def test_import_loads_a_layer_only_on_first_use():
