@@ -30,7 +30,6 @@ _EXPORTS = {
     "Segment": "geometry",
     "SegmentClass": "arrangement",
     "SplitterReport": "arrangement",
-    "VertexKind": "arrangement",
     "build_arrangement": "arrangement",
     "construct": "embedding",
     "construct_even": "embedding",

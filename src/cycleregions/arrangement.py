@@ -1,64 +1,34 @@
-"""Planar arrangement of a cycle embedding: vertices, edges, and two
-region counters.
+"""Planar arrangement of a cycle embedding: vertex, edge and region
+counts, and two region counters.
 
 Both counters read the drawing's pair table: each segment's chain of
 crossings, ordered along it, is the subdivision, which is connected since
 each chain joins two corners and neighbouring segments share one. The
 Euler counter reads E - V + 1, which build_arrangement evaluates from the
-chain lengths. The traversal counter never touches that identity: it
-numbers the two directed copies (darts) of every edge, orders the darts
-leaving each crossing from the sign of the crossing segments' cross
-product, and counts the orbits of the face-walk permutation on the darts,
-so the two agreeing checks the counting, not the shared pair
-classification.
+table. With X crossings, V = n + X, and E = n + 2X since every crossing
+lies on two chains, so E - V + 1 is len(signs) + 1 by algebra alone: the
+Euler counter checks neither the table's signs nor its chain order. The
+traversal counter, which does, never touches that identity: it numbers
+the two directed copies (darts) of every edge, orders the darts leaving
+each crossing from the sign of the crossing segments' cross product, and
+counts the orbits of the face-walk permutation on the darts, so the two
+agreeing checks the counting, not the shared pair classification.
 """
 
 import enum
 from typing import NamedTuple
 
-from .embedding import CycleEmbedding, PairTable, Point, pair_table
+from .embedding import CycleEmbedding, PairTable, pair_table
 from .formulas import DegenerateInput
 
 
-class VertexKind(enum.Enum):
-    CORNER = "corner"
-    CROSSING = "crossing"
-
-
 class Arrangement(NamedTuple):
-    """Subdivision of an embedding into arrangement vertices and edges.
-
-    per_segment[i] is (vertices on segment i, edges on segment i),
-    endpoints included. The crossings stay integers in `table` until
-    `vertices` is read.
-    """
+    """The vertex, edge and bounded-region counts of an embedding's
+    subdivision at its proper crossings."""
 
     vertex_count: int
     edge_count: int
     face_count: int
-    per_segment: tuple[tuple[int, int], ...]
-    corners: tuple[Point, ...]
-    table: PairTable
-
-    @property
-    def vertices(self) -> tuple[tuple[Point, VertexKind], ...]:
-        """The corners in cycle order, then the proper crossings in (x, y)
-        order, each with its kind. The crossing points are built from the
-        table's integers on each read."""
-        points = self.table.points
-        # Two distinct rationals whose denominators are at most dmax, the
-        # largest of the points', differ by at least 1/dmax^2, so scaling by
-        # dmax^2 and flooring keeps their order and their ties: an exact
-        # integer key, far cheaper to compare than the Fractions.
-        k = max((max(p.x.denominator, p.y.denominator) for p in points), default=1) ** 2
-        keys = [
-            (p.x.numerator * k // p.x.denominator, p.y.numerator * k // p.y.denominator)
-            for p in points
-        ]
-        return tuple((p, VertexKind.CORNER) for p in self.corners) + tuple(
-            (points[c], VertexKind.CROSSING)
-            for c in sorted(range(len(points)), key=keys.__getitem__)
-        )
 
 
 class SegmentClass(enum.Enum):
@@ -109,15 +79,18 @@ def build_arrangement(emb: CycleEmbedding) -> Arrangement:
     the connected plane graph.
     """
     table = _general_position_table(emb)
-    per_segment = tuple((len(chain) + 2, len(chain) + 1) for chain in table.chains)
     v = emb.n + len(table.signs)
-    e = sum(edges for _, edges in per_segment)
-    return Arrangement(v, e, e - v + 1, per_segment, emb.corners, table)
+    e = sum(len(chain) + 1 for chain in table.chains)
+    return Arrangement(v, e, e - v + 1)
 
 
 def region_count_euler(arr: Arrangement) -> int:
     """Bounded regions of an arrangement via the connected plane-graph
-    count E - V + 1, which build_arrangement evaluates."""
+    count E - V + 1, which build_arrangement evaluates.
+
+    V = n + X and E = n + 2X for a drawing with X crossings, so this is
+    X + 1, len(signs) + 1 of the pair table, by algebra: it checks no sign
+    and no chain order of the table. Only region_count_traversal does."""
     return arr.face_count
 
 

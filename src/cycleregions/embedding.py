@@ -1,5 +1,5 @@
-"""Cycle embeddings: the exact point record, corner placements, the two
-extremal constructions, the pair table behind general-position
+"""Cycle embeddings: the exact point record, corner placements, the
+extremal construction, the pair table behind general-position
 validation, deterministic perturbation, and the text file format.
 
 An embedding is the full description of a drawing: n corners in cycle
@@ -115,36 +115,14 @@ class PairTable(NamedTuple):
 
     meets, chains and signs are those of `pairs.PairClasses`, whose
     crossing c is the c-th properly crossing pair (i, j), i < j, in
-    lexicographic order. Crossings stay integers: `corners` holds
-    the corners scaled by `scale` to integers, and the crossing points, as
-    `points` or `crossings`, are built from them afresh on each read; no
-    command reads them. Everything but the report, the corners and scale
-    is None when adjacent corners coincide, since a collapsed segment has
-    no pairs.
+    lexicographic order. No crossing point is kept. All three are None
+    when adjacent corners coincide, since a collapsed segment has no pairs.
     """
 
     report: DegeneracyReport
     meets: Optional[tuple[int, ...]]
     chains: Optional[tuple[tuple[int, ...], ...]]
     signs: Optional[tuple[int, ...]]
-    corners: tuple[tuple[int, int], ...]
-    scale: int
-
-    @property
-    def points(self) -> Optional[tuple[Point, ...]]:
-        """Each proper crossing as a Point; crossing c is points[c]."""
-        if self.chains is None:
-            return None
-        pts, scale = self.corners, self.scale
-        return tuple(_crossing_point(pts, scale, i, j) for i, j in _crossing_ends(self.chains))
-
-    @property
-    def crossings(self) -> Optional[tuple[tuple[Point, ...], ...]]:
-        """Each segment's proper crossing points, in order along it."""
-        if self.chains is None:
-            return None
-        points = self.points
-        return tuple(tuple(points[c] for c in chain) for chain in self.chains)
 
 
 def _crossing_point(pts: tuple[tuple[int, int], ...], scale: int, i: int, j: int) -> Point:
@@ -213,7 +191,7 @@ def _pair_table(emb: CycleEmbedding) -> PairTable:
         collinear_overlaps=pairs.overlaps,
         coincident_corners=pairs.coincident,
     )
-    return PairTable(report, pairs.meets, pairs.chains, pairs.signs, pts, scale)
+    return PairTable(report, pairs.meets, pairs.chains, pairs.signs)
 
 
 def validate_general_position(emb: CycleEmbedding) -> DegeneracyReport:
@@ -314,14 +292,16 @@ def construct(n: int, seed: int = 0) -> CycleEmbedding:
 
 def construct_odd(n: int, seed: int = 0) -> CycleEmbedding:
     """construct(n, seed) for odd n >= 3."""
-    if n < 3 or n % 2 == 0:
+    check_n(n)
+    if n % 2 == 0:
         raise InvalidN(f"odd construction needs odd n >= 3, got {n}")
     return construct(n, seed)
 
 
 def construct_even(n: int, seed: int = 0) -> CycleEmbedding:
     """construct(n, seed) for even n >= 4."""
-    if n < 4 or n % 2 == 1:
+    check_n(n)
+    if n % 2 == 1:
         raise InvalidN(f"even construction needs even n >= 4, got {n}")
     return construct(n, seed)
 

@@ -297,7 +297,8 @@ def splitter_bound_check(n: int, trials: int, seed: int = 0) -> int:
     largest count seen so the caller can assert the bound. trials and seed
     must be ints of at least 0, or ValueError is raised.
     """
-    if n < 4 or n % 2 == 1:
+    check_n(n)
+    if n % 2 == 1:
         raise InvalidN(f"splitter bound applies to even n >= 4, got {n}")
     check_count(trials, "trials", 0)
     check_count(seed, "seed", 0)

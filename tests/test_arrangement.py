@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cycleregions.arrangement import (
     DegenerateInput,
     SegmentClass,
-    VertexKind,
     build_arrangement,
     region_count_euler,
     region_count_traversal,
@@ -51,25 +50,6 @@ class TestBuildArrangement:
     def test_convex_polygon_has_single_region(self):
         arr = build_arrangement(convex(6))
         assert (arr.vertex_count, arr.edge_count, arr.face_count) == (6, 6, 1)
-        assert all(kind is VertexKind.CORNER for _, kind in arr.vertices)
-
-    def test_vertex_kinds(self):
-        arr = build_arrangement(construct_odd(5))
-        kinds = [kind for _, kind in arr.vertices]
-        assert kinds.count(VertexKind.CORNER) == 5
-        assert kinds.count(VertexKind.CROSSING) == 5
-
-    def test_per_segment_counts_odd(self):
-        # every segment of the odd construction carries n-1 vertices and
-        # n-2 edges
-        for n in (5, 7, 9):
-            arr = build_arrangement(construct_odd(n))
-            assert all(vc == n - 1 and ec == n - 2 for vc, ec in arr.per_segment)
-
-    def test_per_segment_vertex_sum_is_twice_vertex_count(self):
-        for n in (5, 6, 8, 9):
-            arr = build_arrangement(construct(n))
-            assert sum(vc for vc, _ in arr.per_segment) == 2 * arr.vertex_count
 
     def test_degenerate_input_raises_with_report(self):
         poly = regular_polygon_points(6)

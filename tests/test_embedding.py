@@ -205,6 +205,8 @@ class TestConstructOdd:
             construct_odd(6)
         with pytest.raises(InvalidN):
             construct_odd(1)
+        with pytest.raises(InvalidN, match="n must be an integer, got '5'"):
+            construct_odd("5")
 
 
 class TestConstructEven:
@@ -246,6 +248,8 @@ class TestConstructEven:
             construct_even(7)
         with pytest.raises(InvalidN):
             construct_even(2)
+        with pytest.raises(InvalidN, match="n must be an integer, got None"):
+            construct_even(None)
 
 
 def test_construct_perturbs_a_degenerate_placement(monkeypatch):

@@ -222,10 +222,6 @@ def rational_embeddings(draw):
     return CycleEmbedding(n, tuple(draw(st.lists(rational_point, min_size=n, max_size=n))))
 
 
-def by_position(points):
-    return sorted(points, key=lambda p: (p.x, p.y))
-
-
 # Segments 0 and 4 lie on one line with a gap between them, a case the
 # random drawings seldom hit.
 GAPPED_COLLINEAR = CycleEmbedding(
@@ -239,26 +235,46 @@ GAPPED_COLLINEAR = CycleEmbedding(
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(grid_embeddings(), rational_embeddings()))
 @example(GAPPED_COLLINEAR)
+@example(construct(5))
+@example(construct(6))
+@example(construct(7))
+@example(construct(8))
+@example(construct(9))
+@example(construct(10))
+@example(construct(11))
+@example(construct(12))
 def test_table_matches_pairwise_classification(emb):
     assert validate_general_position(emb) == reference_report(emb)
     table = pair_table(emb)
     n = emb.n
     if any(emb.corners[i] == emb.corners[(i + 1) % n] for i in range(n)):
-        assert table.crossings is None and table.points is None and table.meets is None
+        assert table.chains is None and table.signs is None and table.meets is None
         return
     segs = segments(emb)
-    crossings = [[] for _ in range(n)]
+    # along[i] holds (parameter along segment i, crossing pair, partner) for
+    # each proper crossing of segment i. Crossings at one parameter, as at a
+    # triple point, come in crossing-id order, which is the pairs' order.
+    along = [[] for _ in range(n)]
     meets = [0] * n
     for i in range(n):
+        s = segs[i]
         for j in range(n):
             if i == j:
                 continue
-            hit = segment_intersection(segs[i], segs[j])
+            hit = segment_intersection(s, segs[j])
             if hit.kind is not IntersectionKind.DISJOINT:
                 meets[i] += 1
             if hit.kind is IntersectionKind.PROPER_CROSSING:
-                crossings[i].append(hit.point)
-    assert list(map(by_position, table.crossings)) == list(map(by_position, crossings))
+                p = hit.point
+                t = (p.x - s.a.x) * (s.b.x - s.a.x) + (p.y - s.a.y) * (s.b.y - s.a.y)
+                along[i].append((t, (min(i, j), max(i, j)), j))
+    ends = [[] for _ in range(len(table.signs))]
+    for i, chain in enumerate(table.chains):
+        for c in chain:
+            ends[c].append(i)
+    # ends[c] is the pair i, j of crossing c, so its partner on i is the sum less i.
+    partners = [[sum(ends[c]) - i for c in chain] for i, chain in enumerate(table.chains)]
+    assert partners == [[j for _, _, j in sorted(hits)] for hits in along]
     assert list(table.meets) == meets
 
 
@@ -297,7 +313,7 @@ def test_table_matches_pairwise_classification_on_every_grid_4_cycle():
         drawings += 1
         emb = CycleEmbedding(4, corners)
         table = pair_table(emb)
-        got = (list(table.meets), table.report.collinear_overlaps, len(table.points))
+        got = (list(table.meets), table.report.collinear_overlaps, len(table.signs))
         report = validate_general_position(emb)
         if got != reference_pair_counts(emb) or report != reference_report(emb):
             mismatches.append(corners)

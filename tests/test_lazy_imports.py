@@ -35,7 +35,6 @@ PUBLIC_NAMES = [
     "Segment",
     "SegmentClass",
     "SplitterReport",
-    "VertexKind",
     "build_arrangement",
     "construct",
     "construct_even",
@@ -188,3 +187,4 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         cycleregions.no_such_name
     assert not hasattr(cycleregions, "pair_table")
+    assert not hasattr(cycleregions, "VertexKind")

@@ -2,20 +2,20 @@
 normalisation they always had, and behave as tuples of their fields."""
 
 import hashlib
-import itertools
 from fractions import Fraction
 
 import pytest
 
-from cycleregions.arrangement import VertexKind, build_arrangement
-from cycleregions.embedding import CycleEmbedding, DegeneracyReport, construct, pair_table
-from cycleregions.formulas import InvalidN
-from cycleregions.geometry import (
-    IntersectionKind,
-    Point,
-    Segment,
-    segment_intersection,
+from cycleregions.arrangement import Arrangement
+from cycleregions.embedding import (
+    CycleEmbedding,
+    DegeneracyReport,
+    PairTable,
+    construct,
+    pair_table,
 )
+from cycleregions.formulas import InvalidN
+from cycleregions.geometry import Point, Segment
 from cycleregions.render import RenderOptions
 
 
@@ -53,52 +53,24 @@ def test_defaults_are_kept():
     )
 
 
-@pytest.mark.parametrize("n", range(5, 13))
-def test_arrangement_vertices_are_the_pairwise_crossings(n):
-    emb = construct(n)
-    arr = build_arrangement(emb)
-    vertices = arr.vertices
-    assert len(vertices) == arr.vertex_count
-    assert vertices[:n] == tuple((p, VertexKind.CORNER) for p in emb.corners)
-    crossings = {p for p, kind in vertices if kind is VertexKind.CROSSING}
-    pairwise = set()
-    segments = [Segment(p, q) for p, q in zip(emb.corners, emb.corners[1:] + emb.corners[:1])]
-    for s1, s2 in itertools.combinations(segments, 2):
-        hit = segment_intersection(s1, s2)
-        if hit.kind is IntersectionKind.PROPER_CROSSING:
-            pairwise.add(hit.point)
-    assert crossings == pairwise
-    assert len(crossings) == arr.vertex_count - n  # no two crossings coincide
+def test_arrangement_and_pair_table_are_their_counts_and_crossings():
+    assert Arrangement._fields == ("vertex_count", "edge_count", "face_count")
+    assert PairTable._fields == ("report", "meets", "chains", "signs")
 
 
-# sha256 of the crossings as text: `vertices` one "kind x y" line each, and
-# the pair table's `crossings` one line per segment. They pin the exact
-# values, the (x, y) order of `vertices` and each chain's order along its
-# segment.
-VERTICES = {
-    40: "a4d12e26afb28a50ecfe348e0663df7fd16e439489c0895c260351c213ebcb09",
-    41: "00de804936d56f487ce62e88a567207692334439f755e107a21ecdaa6679975c",
-}
-CROSSINGS = {
-    40: "20c91e49b33e527b3123335aebd0a28fbb71f3c70595e4eb069352f498ad2932",
-    41: "ab06b5f7416e5167c07d6b9bf051af42ccf49a009d168ffabc8d89469ee4969e",
+# sha256 of the pair table's crossings as text: each segment's chain, one
+# line of crossing ids per segment, then one line of the signs. They pin
+# the crossings, each chain's order along its segment and the signs the
+# face walk turns by.
+TABLES = {
+    40: "51d4c85a257f95bc1cc10114c6daf77fc5700ca21f30f58e7d37b2eeeaa825b3",
+    41: "75f56a8aaa48a4882bcd789ed45042082d555f4835629081a3b5fe11a0e65a8a",
 }
 
 
-def _rational(v):
-    return f"{v.numerator}/{v.denominator}"
-
-
-@pytest.mark.parametrize("n", sorted(VERTICES))
-def test_vertices_and_crossings_digests(n):
-    emb = construct(n)
-    vertices = "".join(
-        f"{kind.value} {_rational(p.x)} {_rational(p.y)}\n"
-        for p, kind in build_arrangement(emb).vertices
-    )
-    crossings = "".join(
-        " ".join(f"{_rational(p.x)},{_rational(p.y)}" for p in chain) + "\n"
-        for chain in pair_table(emb).crossings
-    )
-    assert hashlib.sha256(vertices.encode("ascii")).hexdigest() == VERTICES[n]
-    assert hashlib.sha256(crossings.encode("ascii")).hexdigest() == CROSSINGS[n]
+@pytest.mark.parametrize("n", sorted(TABLES))
+def test_pair_table_digests(n):
+    table = pair_table(construct(n))
+    text = "".join(" ".join(map(str, chain)) + "\n" for chain in table.chains)
+    text += " ".join(map(str, table.signs)) + "\n"
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == TABLES[n]

@@ -428,6 +428,8 @@ class TestSplitterBound:
     def test_rejects_odd_n(self):
         with pytest.raises(InvalidN):
             splitter_bound_check(5, 10)
+        with pytest.raises(InvalidN, match="n must be an integer, got '6'"):
+            splitter_bound_check("6", 1)
 
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
