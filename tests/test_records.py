@@ -2,11 +2,12 @@
 normalisation they always had, and behave as tuples of their fields."""
 
 import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from cycleregions.arrangement import Arrangement
+from cycleregions.arrangement import Arrangement, build_arrangement
 from cycleregions.embedding import (
     CycleEmbedding,
     DegeneracyReport,
@@ -15,7 +16,7 @@ from cycleregions.embedding import (
     pair_table,
 )
 from cycleregions.formulas import InvalidN
-from cycleregions.geometry import Point, Segment
+from cycleregions.geometry import IntersectionKind, Point, Segment, segment_intersection
 from cycleregions.render import RenderOptions
 
 
@@ -56,6 +57,29 @@ def test_defaults_are_kept():
 def test_arrangement_and_pair_table_are_their_counts_and_crossings():
     assert Arrangement._fields == ("vertex_count", "edge_count", "face_count")
     assert PairTable._fields == ("report", "meets", "chains", "signs")
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_arrangement_vertices_are_the_pairwise_crossings(n):
+    emb = construct(n)
+    arr = build_arrangement(emb)
+    table = pair_table(emb)
+    segments = [Segment(p, q) for p, q in zip(emb.corners, emb.corners[1:] + emb.corners[:1])]
+    pairs, points = [], set()
+    for (i, s1), (j, s2) in itertools.combinations(enumerate(segments), 2):
+        hit = segment_intersection(s1, s2)
+        if hit.kind is IntersectionKind.PROPER_CROSSING:
+            pairs.append((i, j))
+            points.add(hit.point)
+    assert len(points) == len(pairs)  # no two crossings coincide
+    assert arr.vertex_count == n + len(points)
+    # Crossing c of the table is the c-th crossing pair in lexicographic
+    # order, and lies on the chains of exactly its two segments.
+    ends = [[] for _ in table.signs]
+    for i, chain in enumerate(table.chains):
+        for c in chain:
+            ends[c].append(i)
+    assert [tuple(e) for e in ends] == pairs
 
 
 # sha256 of the pair table's crossings as text: each segment's chain, one
