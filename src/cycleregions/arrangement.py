@@ -18,8 +18,9 @@ agreeing checks the counting, not the shared pair classification.
 import enum
 from typing import NamedTuple
 
-from .embedding import CycleEmbedding, PairTable, pair_table
+from .embedding import CycleEmbedding, pair_table, validate_general_position
 from .formulas import DegenerateInput
+from .pairs import PairClasses
 
 
 class Arrangement(NamedTuple):
@@ -57,7 +58,7 @@ class SplitterReport(NamedTuple):
         )
 
 
-def _general_position_table(emb: CycleEmbedding) -> PairTable:
+def _general_position_table(emb: CycleEmbedding) -> PairClasses:
     """The pair table of a general-position embedding.
 
     Raises DegenerateInput otherwise; general position guarantees every
@@ -65,8 +66,8 @@ def _general_position_table(emb: CycleEmbedding) -> PairTable:
     both.
     """
     table = pair_table(emb)
-    if not table.report.is_empty():
-        raise DegenerateInput(table.report)
+    if table.degenerate:
+        raise DegenerateInput(validate_general_position(emb))
     return table
 
 
@@ -165,8 +166,8 @@ def splitter_analysis(emb: CycleEmbedding) -> SplitterReport:
     DegenerateInput.
     """
     table = pair_table(emb)
-    if table.meets is None or table.report.collinear_overlaps:
-        raise DegenerateInput(table.report)
+    if table.meets is None or table.overlaps:
+        raise DegenerateInput(validate_general_position(emb))
     n = emb.n
     rows = []
     for c in table.meets:

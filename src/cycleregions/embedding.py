@@ -6,9 +6,9 @@ An embedding is the full description of a drawing: n corners in cycle
 order, with segment i joining corner i to corner (i+1) mod n. A segment
 has no record of its own; every reader takes it as that pair of corners.
 Corners are exact rational `Point`s, so degeneracy detection is a
-decision, not a tolerance. The pair table scales them to integers once
-and hands them to `pairs.classify_pairs`, whose one pass over the segment
-pairs in integer arithmetic classifies every pair, touches and overlaps
+decision, not a tolerance. `pair_table` scales them to integers once and
+returns their `pairs.PairClasses`, whose one pass over the segment pairs
+in integer arithmetic classifies every pair, touches and overlaps
 included, and finds every corner that lies inside another segment. This
 module adds only what needs `Fraction`: the scaling, the triple points and
 the records. The `Fraction` predicates of `geometry` are not needed to
@@ -19,13 +19,13 @@ import math
 import random
 import re
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Union
 
 from .formulas import (
     BadInput, ConstructionCheckFailed, InvalidN, PerturbationFailed, check_count, check_n,
     construction_order, construction_splitters, max_crossings,
 )
-from .pairs import classify_pairs
+from .pairs import PairClasses, classify_pairs
 
 # Decimal digits of each unit-circle polygon coordinate.
 POLYGON_DIGITS = 12
@@ -92,12 +92,8 @@ class DegeneracyReport(NamedTuple):
     coincident_corners: tuple[tuple[int, int], ...] = ()
 
     def is_empty(self) -> bool:
-        return not (
-            self.triple_points
-            or self.corner_incidences
-            or self.collinear_overlaps
-            or self.coincident_corners
-        )
+        """True when every field is empty."""
+        return not any(self)
 
     def summary(self) -> str:
         parts = [
@@ -107,22 +103,6 @@ class DegeneracyReport(NamedTuple):
             f"{len(self.coincident_corners)} coincident corner pair(s)",
         ]
         return "; ".join(parts)
-
-
-class PairTable(NamedTuple):
-    """A drawing's DegeneracyReport, how many other segments each segment
-    meets, and its proper crossings.
-
-    meets, chains and signs are those of `pairs.PairClasses`, whose
-    crossing c is the c-th properly crossing pair (i, j), i < j, in
-    lexicographic order. No crossing point is kept. All three are None
-    when adjacent corners coincide, since a collapsed segment has no pairs.
-    """
-
-    report: DegeneracyReport
-    meets: Optional[tuple[int, ...]]
-    chains: Optional[tuple[tuple[int, ...], ...]]
-    signs: Optional[tuple[int, ...]]
 
 
 def _crossing_point(pts: tuple[tuple[int, int], ...], scale: int, i: int, j: int) -> Point:
@@ -151,47 +131,28 @@ def _crossing_ends(chains: tuple[tuple[int, ...], ...]) -> list[list[int]]:
 _latest: list = [None, None]  # the latest drawing and its pair table
 
 
-def pair_table(emb: CycleEmbedding) -> PairTable:
-    """Classify the n(n-1)/2 segment pairs once, in integers; validation,
-    subdivision, the face walk and splitter analysis all read the table
-    kept for the latest drawing. That drawing is recognised by identity,
-    because hashing its Fraction corners costs about a seventh of building
-    its table.
-
-    The corners are scaled by the lcm of their denominators. That is a
-    similarity map, so every orientation sign, and with it every
-    classification, is that of the exact rational drawing.
-    `pairs.classify_pairs` decides each pair of the scaled corners in
-    integer arithmetic; only the crossings it finds at one point are built
-    as `Point`s, for the report's triple points.
+def pair_table(emb: CycleEmbedding) -> PairClasses:
+    """The `pairs.PairClasses` of the drawing: its n(n-1)/2 segment pairs
+    classified once, in integers. Validation, subdivision, the face walk
+    and splitter analysis all read the classes kept for the latest drawing.
+    That drawing is recognised by identity, because hashing its Fraction
+    corners costs about a seventh of classifying its pairs.
     """
     if emb is not _latest[0]:
-        _latest[:] = emb, _pair_table(emb)
+        _latest[:] = emb, classify_pairs(_scaled_corners(emb)[1])
     return _latest[1]
 
 
-def _pair_table(emb: CycleEmbedding) -> PairTable:
+def _scaled_corners(emb: CycleEmbedding) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The lcm of the corners' denominators and the corners scaled by it
+    to integers. That is a similarity map, so every orientation sign, and
+    with it every classification, is that of the exact rational drawing."""
     scale = math.lcm(*(c.denominator for p in emb.corners for c in (p.x, p.y)))
     pts = tuple(
         (p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
         for p in emb.corners
     )
-    pairs = classify_pairs(pts)
-    # Two crossings at one point of a segment name at least three segments.
-    shared: dict[Point, set[int]] = {}
-    if pairs.ties:
-        ends = _crossing_ends(pairs.chains)
-        for c, c2 in pairs.ties:
-            point = _crossing_point(pts, scale, *ends[c])
-            shared.setdefault(point, set()).update(ends[c], ends[c2])
-    triples = tuple(sorted((p, tuple(sorted(ids))) for p, ids in shared.items()))
-    report = DegeneracyReport(
-        triple_points=triples,
-        corner_incidences=pairs.incidences,
-        collinear_overlaps=pairs.overlaps,
-        coincident_corners=pairs.coincident,
-    )
-    return PairTable(report, pairs.meets, pairs.chains, pairs.signs)
+    return scale, pts
 
 
 def validate_general_position(emb: CycleEmbedding) -> DegeneracyReport:
@@ -200,9 +161,21 @@ def validate_general_position(emb: CycleEmbedding) -> DegeneracyReport:
 
     General position means: corners pairwise distinct, no corner interior
     to a non-incident segment, no collinear overlapping segments, and no
-    point where three or more segments cross.
+    point where three or more segments cross. Only the crossings that the
+    table finds at one point of a segment are built as `Point`s, for the
+    report's triple points.
     """
-    return pair_table(emb).report
+    pairs = pair_table(emb)
+    # Two crossings at one point of a segment name at least three segments.
+    shared: dict[Point, set[int]] = {}
+    if pairs.ties:
+        scale, pts = _scaled_corners(emb)
+        ends = _crossing_ends(pairs.chains)
+        for c, c2 in pairs.ties:
+            point = _crossing_point(pts, scale, *ends[c])
+            shared.setdefault(point, set()).update(ends[c], ends[c2])
+    triples = tuple(sorted((p, tuple(sorted(ids))) for p, ids in shared.items()))
+    return DegeneracyReport(triples, pairs.incidences, pairs.overlaps, pairs.coincident)
 
 
 def perturb(emb: CycleEmbedding, epsilon: Union[int, Fraction], seed: int = 0) -> CycleEmbedding:

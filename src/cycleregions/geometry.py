@@ -4,10 +4,10 @@ segment intersection and ordering along a segment.
 Coordinates are `fractions.Fraction`, so every predicate is decided
 exactly. No floating point enters any comparison; this matters because
 the even-cycle constructions are deliberately near-degenerate and epsilon
-tests would misclassify them. The pair table in `embedding` classifies a
+tests would misclassify them. `pairs.classify_pairs` classifies a
 drawing's pairs on its own, in integers, and calls none of these
 predicates; they remain public API and the independent reference the tests
-check that table against. No CLI subcommand loads this module. `Segment`,
+check that classification against. No CLI subcommand loads this module. `Segment`,
 the closed segment these predicates take, is defined here; `Point` is
 defined in `embedding` and re-exported here.
 """

@@ -33,9 +33,8 @@ class PairClasses(NamedTuple):
                 u_i, u_j of the segments i < j of crossing c
 
     Crossing ids follow pair order: crossing c is the c-th properly
-    crossing pair (i, j), i < j, in lexicographic order. A drawing is in
-    general position exactly when the first four are empty. meets, chains
-    and signs are None, and the other three empty, when adjacent corners
+    crossing pair (i, j), i < j, in lexicographic order. meets, chains and
+    signs are None, and the other three empty, when adjacent corners
     coincide, since a collapsed segment has no pairs.
     """
 
@@ -46,6 +45,12 @@ class PairClasses(NamedTuple):
     meets: Optional[tuple[int, ...]]
     chains: Optional[tuple[tuple[int, ...], ...]]
     signs: Optional[tuple[int, ...]]
+
+    @property
+    def degenerate(self) -> bool:
+        """Whether the drawing is out of general position: true exactly
+        when coincident, incidences, overlaps or ties is non-empty."""
+        return bool(self.coincident or self.incidences or self.overlaps or self.ties)
 
 
 def classify_pairs(corners: Sequence[tuple[int, int]]) -> PairClasses:

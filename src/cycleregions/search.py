@@ -266,7 +266,7 @@ def best_region_count(
             corners = tuple(pts[lbl] for lbl in order)
             repair_seed = rng.getrandbits(32)
             pairs = classify_pairs(corners)
-            degenerate = pairs.coincident or pairs.incidences or pairs.overlaps or pairs.ties
+            degenerate = pairs.degenerate
             if degenerate:
                 from .embedding import pair_table
 

@@ -313,7 +313,7 @@ def test_table_matches_pairwise_classification_on_every_grid_4_cycle():
         drawings += 1
         emb = CycleEmbedding(4, corners)
         table = pair_table(emb)
-        got = (list(table.meets), table.report.collinear_overlaps, len(table.signs))
+        got = (list(table.meets), table.overlaps, len(table.signs))
         report = validate_general_position(emb)
         if got != reference_pair_counts(emb) or report != reference_report(emb):
             mismatches.append(corners)

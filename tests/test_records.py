@@ -11,12 +11,12 @@ from cycleregions.arrangement import Arrangement, build_arrangement
 from cycleregions.embedding import (
     CycleEmbedding,
     DegeneracyReport,
-    PairTable,
     construct,
     pair_table,
 )
 from cycleregions.formulas import InvalidN
 from cycleregions.geometry import IntersectionKind, Point, Segment, segment_intersection
+from cycleregions.pairs import PairClasses
 from cycleregions.render import RenderOptions
 
 
@@ -56,7 +56,10 @@ def test_defaults_are_kept():
 
 def test_arrangement_and_pair_table_are_their_counts_and_crossings():
     assert Arrangement._fields == ("vertex_count", "edge_count", "face_count")
-    assert PairTable._fields == ("report", "meets", "chains", "signs")
+    assert PairClasses._fields == (
+        "coincident", "incidences", "overlaps", "ties", "meets", "chains", "signs"
+    )
+    assert isinstance(pair_table(construct(5)), PairClasses)
 
 
 @pytest.mark.parametrize("n", range(5, 13))
