@@ -28,8 +28,6 @@ _EXPORTS = {
     "PointNotOnSegment": "geometry",
     "RenderOptions": "render",
     "Segment": "geometry",
-    "SegmentClass": "arrangement",
-    "SplitterReport": "arrangement",
     "build_arrangement": "arrangement",
     "construct": "embedding",
     "construct_even": "embedding",

@@ -15,7 +15,6 @@ counts the orbits of the face-walk permutation on the darts, so the two
 agreeing checks the counting, not the shared pair classification.
 """
 
-import enum
 from typing import NamedTuple
 
 from .embedding import CycleEmbedding, pair_table, validate_general_position
@@ -30,32 +29,6 @@ class Arrangement(NamedTuple):
     vertex_count: int
     edge_count: int
     face_count: int
-
-
-class SegmentClass(enum.Enum):
-    SPLITTER = "splitter"
-    ONE_OFF_SPLITTER = "one_off_splitter"
-    OTHER = "other"
-
-
-class SplitterReport(NamedTuple):
-    """Per-segment intersection counts and their classification.
-
-    A segment of an n-cycle is a splitter when it meets all n-1 others
-    (shared corners count), one-off when it meets exactly n-2.
-    """
-
-    per_segment: tuple[tuple[int, SegmentClass], ...]
-
-    @property
-    def splitter_count(self) -> int:
-        return sum(1 for _, c in self.per_segment if c is SegmentClass.SPLITTER)
-
-    @property
-    def one_off_count(self) -> int:
-        return sum(
-            1 for _, c in self.per_segment if c is SegmentClass.ONE_OFF_SPLITTER
-        )
 
 
 def _general_position_table(emb: CycleEmbedding) -> PairClasses:
@@ -156,9 +129,10 @@ def region_count_traversal(emb: CycleEmbedding) -> int:
     return faces - 1
 
 
-def splitter_analysis(emb: CycleEmbedding) -> SplitterReport:
-    """Count, for every segment, how many of the other n-1 segments it
-    meets (any non-disjoint kind), and classify.
+def splitter_analysis(emb: CycleEmbedding) -> PairClasses:
+    """The drawing's pair table, whose `meets` counts, for every segment,
+    the other segments it meets (any non-disjoint kind), and whose
+    `splitters`, `splitter_count` and `one_off_count` classify them.
 
     Works on degenerate embeddings except collinear overlaps, where the
     notion of one intersection per pair breaks down, and coincident
@@ -168,14 +142,4 @@ def splitter_analysis(emb: CycleEmbedding) -> SplitterReport:
     table = pair_table(emb)
     if table.meets is None or table.overlaps:
         raise DegenerateInput(validate_general_position(emb))
-    n = emb.n
-    rows = []
-    for c in table.meets:
-        if c == n - 1:
-            cls = SegmentClass.SPLITTER
-        elif c == n - 2:
-            cls = SegmentClass.ONE_OFF_SPLITTER
-        else:
-            cls = SegmentClass.OTHER
-        rows.append((c, cls))
-    return SplitterReport(tuple(rows))
+    return table

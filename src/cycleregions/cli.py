@@ -68,7 +68,7 @@ def cmd_construct(args) -> int:
 
 
 def _count(emb):
-    """The arrangement, both region counts and the splitter report of emb,
+    """The arrangement, both region counts and the splitter classes of emb,
     the one counting path of `count` and `verify`."""
     from .arrangement import (
         build_arrangement,
@@ -197,11 +197,11 @@ def cmd_search(args) -> int:
 
 
 def cmd_render(args) -> int:
-    from .render import RenderOptions, check_size, to_svg
+    from .render import RenderOptions, check_color, check_size, to_svg
 
     check_size(args.width, args.height)
-    # Colors land inside SVG attribute values unescaped, and the SVG is ASCII.
-    # Only the colors given are passed on; RenderOptions owns the defaults.
+    # Checked here, by flag name, before the file is read. Only the colors
+    # given are passed on; RenderOptions owns the defaults.
     colors = {}
     for flag, name in (
         ("--stroke", "stroke"),
@@ -209,13 +209,9 @@ def cmd_render(args) -> int:
         ("--fill", "fill"),
     ):
         color = getattr(args, name)
-        if color is None:
-            continue
-        if not color.isascii() or any(ch in color for ch in "\"'<>&"):
-            raise BadInput(
-                f"{flag} must not contain non-ASCII characters or any of \" ' < > &, got {color!r}"
-            )
-        colors[name] = color
+        if color is not None:
+            check_color(color, flag)
+            colors[name] = color
     from .embedding import load_embedding
 
     emb = load_embedding(args.path)

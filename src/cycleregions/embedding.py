@@ -256,7 +256,7 @@ def construct(n: int, seed: int = 0) -> CycleEmbedding:
     if not validate_general_position(emb).is_empty():
         emb = perturb(emb, PERTURB_EPSILON, seed)
     table = pair_table(emb)
-    got = (len(table.signs), table.meets.count(n - 1), table.meets.count(n - 2))
+    got = (len(table.signs), table.splitter_count, table.one_off_count)
     want = (max_crossings(n), *construction_splitters(n))
     if got != want:
         raise ConstructionCheckFailed(f"n={n}: (crossings, splitters, one-offs) {got} != {want}")

@@ -15,9 +15,9 @@ failure loads no other module of the package.
 import itertools
 
 # Largest n the exact convex oracle accepts. n = 18, the slowest accepted
-# n, visits 207,536 nodes in about 1.2 s (odd n prunes far better); n = 20
-# visits 1,213,370 in about 8.3 s, seven times as long. Timed on Python
-# 3.11, one core of a 2-vCPU Xeon.
+# n, visits 207,536 nodes in about 1.5 s (odd n prunes far better); n = 20
+# visits 1,213,370 in about 10 s, seven times as long. Timed on Python
+# 3.11, one core of a shared 2-vCPU Xeon (n = 18: eight runs, 1.2-1.8 s).
 ORACLE_MAX_N = 19
 
 

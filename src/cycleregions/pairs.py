@@ -6,7 +6,9 @@ pair: disjoint, a proper crossing, a touch or a collinear overlap, and
 whether corner i lies inside segment j or corner j inside segment i. Each
 proper crossing is kept as its exact parameter along each of its two
 segments, which orders every segment's chain of crossings and finds the
-crossings that share a point, without building a point.
+crossings that share a point, without building a point. The table also
+owns the splitter rule: a segment of an n-cycle is a splitter when it
+meets all n - 1 others, a one-off splitter when it meets n - 2.
 
 This module imports no other module of the package and no `fractions`,
 so a caller with integer corners, such as the random search, classifies
@@ -35,7 +37,8 @@ class PairClasses(NamedTuple):
     Crossing ids follow pair order: crossing c is the c-th properly
     crossing pair (i, j), i < j, in lexicographic order. meets, chains and
     signs are None, and the other three empty, when adjacent corners
-    coincide, since a collapsed segment has no pairs.
+    coincide, since a collapsed segment has no pairs. The splitter
+    properties, with n = len(meets), are read only when meets is not None.
     """
 
     coincident: tuple[tuple[int, int], ...]
@@ -51,6 +54,21 @@ class PairClasses(NamedTuple):
         """Whether the drawing is out of general position: true exactly
         when coincident, incidences, overlaps or ties is non-empty."""
         return bool(self.coincident or self.incidences or self.overlaps or self.ties)
+
+    @property
+    def splitters(self) -> tuple[bool, ...]:
+        """Per segment, whether it meets all n - 1 others: a splitter."""
+        return tuple(m == len(self.meets) - 1 for m in self.meets)
+
+    @property
+    def splitter_count(self) -> int:
+        """How many segments are splitters."""
+        return sum(self.splitters)
+
+    @property
+    def one_off_count(self) -> int:
+        """How many segments meet exactly n - 2 others."""
+        return self.meets.count(len(self.meets) - 2)
 
 
 def classify_pairs(corners: Sequence[tuple[int, int]]) -> PairClasses:

@@ -9,7 +9,7 @@ fractional digits.
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .arrangement import SegmentClass, splitter_analysis
+from .arrangement import splitter_analysis
 from .embedding import CycleEmbedding
 from .formulas import BadInput, DegenerateInput
 
@@ -35,6 +35,15 @@ def check_size(width: int, height: int) -> None:
         raise BadInput(f"render size must be positive, got {width}x{height}")
 
 
+def check_color(color: str, name: str) -> None:
+    """Raise BadInput unless the colour `name` is ASCII without " ' < > &:
+    colours land in SVG attribute values unescaped."""
+    if not color.isascii() or any(ch in color for ch in "\"'<>&"):
+        raise BadInput(
+            f"{name} must not contain non-ASCII characters or any of \" ' < > &, got {color!r}"
+        )
+
+
 def _fmt(v: float) -> str:
     return f"{v:.6f}"
 
@@ -43,14 +52,16 @@ def to_svg(emb: CycleEmbedding, options: Optional[RenderOptions] = None) -> str:
     """Render an embedding to SVG text.
 
     The viewport fits the exact corner bounding box with a 5% margin; a
-    width or height that is not positive raises BadInput.
-    With highlight_splitters, segments meeting all n-1 others get the
-    splitter stroke. Region shading is a single even-odd fill of the
-    closed polyline; it is illustrative only and can hide regions the
-    even-odd rule cancels.
+    width or height that is not positive, or a colour that `check_color`
+    refuses, raises BadInput. With highlight_splitters, the splitters of
+    the drawing's pair table get the splitter stroke. Region shading is a
+    single even-odd fill of the closed polyline; it is illustrative only
+    and can hide regions the even-odd rule cancels.
     """
     opts = options or RenderOptions()
     check_size(opts.width, opts.height)
+    for name in ("stroke", "splitter_stroke", "fill"):
+        check_color(getattr(opts, name), name)
     xs = [p.x for p in emb.corners]
     ys = [p.y for p in emb.corners]
     minx, maxx = min(xs), max(xs)
@@ -77,16 +88,12 @@ def to_svg(emb: CycleEmbedding, options: Optional[RenderOptions] = None) -> str:
         for p in emb.corners
     ]
 
-    splitter_flags = [False] * emb.n
+    splitter_flags = (False,) * emb.n
     if opts.highlight_splitters:
         try:
-            report = splitter_analysis(emb)
+            splitter_flags = splitter_analysis(emb).splitters
         except DegenerateInput:
             pass  # degenerate drawings render unhighlighted as-is
-        else:
-            splitter_flags = [
-                cls is SegmentClass.SPLITTER for _, cls in report.per_segment
-            ]
 
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

@@ -9,11 +9,12 @@ placements then probe the non-convex territory the closed-form ceiling
 also covers.
 
 A random placement has integer corners, and in general position it
-encloses crossings + 1 regions, so the probes count with
-`pairs.classify_pairs` alone. Only a degenerate draw, repaired by
-`embedding.perturb`, and the `CycleEmbedding` that `random_search`
-returns load the exact rational layer. The probes import `pairs` when
-they run, so the oracle loads neither.
+encloses crossings + 1 regions, so the probes count regions and
+splitters with `pairs.classify_pairs` alone. Only the repair of a
+degenerate draw by `embedding.perturb`, and the `CycleEmbedding` that
+`random_search` returns, load the exact rational layer; the splitter
+bound never does. The probes import `pairs` when they run, so the oracle
+loads neither.
 """
 
 import bisect
@@ -21,7 +22,10 @@ import math
 import random
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
-from .formulas import ORACLE_MAX_N, InvalidN, NTooLarge, check_count, check_n, construction_order
+from .formulas import (
+    ORACLE_MAX_N, InvalidN, NTooLarge, check_count, check_n, construction_order,
+    construction_splitters,
+)
 
 if TYPE_CHECKING:
     from .embedding import CycleEmbedding
@@ -294,19 +298,20 @@ def splitter_bound_check(n: int, trials: int, seed: int = 0) -> int:
     `trials` random placements with random cycle orders.
 
     For even n no embedding has more than two splitters; this returns the
-    largest count seen so the caller can assert the bound. trials and seed
-    must be ints of at least 0, or ValueError is raised.
+    largest count seen so the caller can assert the bound. The construction
+    counts as `construction_splitters(n)[0]`, the value `construct`'s
+    post-check holds it to, so only the random draws are classified, each
+    by `classify_pairs` in integers. trials and seed must be ints of at
+    least 0, or ValueError is raised.
     """
     check_n(n)
     if n % 2 == 1:
         raise InvalidN(f"splitter bound applies to even n >= 4, got {n}")
     check_count(trials, "trials", 0)
     check_count(seed, "seed", 0)
-    from .arrangement import splitter_analysis
-    from .embedding import construct
     from .pairs import classify_pairs
 
-    best = splitter_analysis(construct(n, seed)).splitter_count
+    best = construction_splitters(n)[0]
     rng = random.Random(seed)
     for trial in range(trials):
         pts = _random_corners(rng, n)
@@ -315,5 +320,5 @@ def splitter_bound_check(n: int, trials: int, seed: int = 0) -> int:
         # The corners are distinct, so meets is never None.
         if pairs.overlaps:
             continue  # collinear overlap: vanishing probability, skip the draw
-        best = max(best, pairs.meets.count(n - 1))
+        best = max(best, pairs.splitter_count)
     return best

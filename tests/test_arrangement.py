@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from cycleregions.arrangement import (
     DegenerateInput,
-    SegmentClass,
     build_arrangement,
     region_count_euler,
     region_count_traversal,
@@ -124,14 +123,16 @@ class TestSplitterAnalysis:
     def test_convex_hexagon_has_no_splitters(self):
         report = splitter_analysis(convex(6))
         assert report.splitter_count == 0
-        assert all(count == 2 for count, _ in report.per_segment)
-        assert all(cls is SegmentClass.OTHER for _, cls in report.per_segment)
+        assert report.meets == (2,) * 6
+        assert report.splitters == (False,) * 6
+        assert report.one_off_count == 0
 
     def test_odd_construction_all_splitters(self):
         for n in (3, 5, 7, 9):
             report = splitter_analysis(construct_odd(n))
             assert report.splitter_count == n
-            assert all(count == n - 1 for count, _ in report.per_segment)
+            assert all(count == n - 1 for count in report.meets)
+            assert report.splitters == (True,) * n
 
     def test_even_construction_two_splitters(self):
         report = splitter_analysis(construct_even(10))
@@ -143,7 +144,7 @@ class TestSplitterAnalysis:
         poly = regular_polygon_points(6)
         star = CycleEmbedding(6, tuple(poly[i] for i in (0, 3, 1, 4, 2, 5)))
         report = splitter_analysis(star)
-        assert len(report.per_segment) == 6
+        assert len(report.meets) == 6
 
     def test_collinear_overlap_raises(self):
         emb = CycleEmbedding(4, (P(0, 0), P(2, 0), P(1, 0), P(1, 2)))

@@ -109,7 +109,7 @@ def test_counters_refuse(name, counter):
 def test_splitter_analysis(name):
     want = SPLITTERS[name]
     if isinstance(want, list):
-        assert [c for c, _ in splitter_analysis(DRAWINGS[name]).per_segment] == want
+        assert list(splitter_analysis(DRAWINGS[name]).meets) == want
         return
     with pytest.raises(want) as info:
         splitter_analysis(DRAWINGS[name])

@@ -33,8 +33,6 @@ PUBLIC_NAMES = [
     "PointNotOnSegment",
     "RenderOptions",
     "Segment",
-    "SegmentClass",
-    "SplitterReport",
     "build_arrangement",
     "construct",
     "construct_even",
@@ -132,6 +130,17 @@ def test_search_counts_without_the_fraction_layer():
     assert loaded.isdisjoint(LAYERS + ["fractions", "decimal"])
 
 
+def test_splitter_bound_check_loads_no_rational_layer():
+    # The construction's splitters are a closed form and the random draws
+    # are integer, so nothing builds a CycleEmbedding.
+    loaded = loaded_after(
+        "from cycleregions.search import splitter_bound_check\n"
+        "assert splitter_bound_check(8, 5, 1) == 2"
+    )
+    assert "cycleregions.pairs" in loaded
+    assert loaded.isdisjoint(["fractions", "cycleregions.embedding", "cycleregions.arrangement"])
+
+
 @pytest.mark.parametrize(
     "argv",
     [["search", "--n", "8", "--trials", "0"], ["oracle", "--n", "20"]],
@@ -188,3 +197,5 @@ def test_unknown_attribute_raises_attribute_error():
         cycleregions.no_such_name
     assert not hasattr(cycleregions, "pair_table")
     assert not hasattr(cycleregions, "VertexKind")
+    assert not hasattr(cycleregions, "SegmentClass")
+    assert not hasattr(cycleregions, "SplitterReport")

@@ -3,6 +3,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from cycleregions.embedding import construct_even, construct_odd
+from cycleregions.formulas import BadInput
 from cycleregions.render import RenderOptions, to_svg
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -36,6 +37,16 @@ def test_rejects_a_size_that_is_not_positive(size, shown):
     # A zero or negative viewBox side is an SVG error.
     opts = RenderOptions(width=size[0], height=size[1])
     with pytest.raises(ValueError, match=f"render size must be positive, got {shown}"):
+        to_svg(construct_odd(5), opts)
+
+
+@pytest.mark.parametrize("field", ["stroke", "splitter_stroke", "fill"])
+@pytest.mark.parametrize("color", ['red" onload="alert(1)', "rød"])
+def test_rejects_a_color_that_would_leave_its_attribute(field, color):
+    # Colours are written into SVG attributes unescaped, so a library caller
+    # is held to the rule the command line applies.
+    opts = RenderOptions(highlight_splitters=True, shade_regions=True)._replace(**{field: color})
+    with pytest.raises(BadInput, match=f"^{field} must not contain"):
         to_svg(construct_odd(5), opts)
 
 
