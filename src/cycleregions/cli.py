@@ -1,5 +1,14 @@
 """Command line front end.
 
+`COMMANDS` is the command line: each command's help line, its handler and
+its options, each option with its flag, kind, default and help line.
+`_parse` reads argv against it and `_help` prints `--help` from it. Each
+option is spelled `--flag value` or `--flag=value` in full, since an
+abbreviation's meaning would change whenever an option is added; a value
+is taken verbatim, even one that starts with a dash; the last of repeated
+options wins; `--` ends the options. A malformed line raises BadInput, so
+it is reported on one `bad input:` line like any other bad input.
+
 Exit codes: 0 success, 2 bad input, 3 I/O failure, 4 degenerate geometry
 or failed perturbation, 5 verification failure or a construction that
 misses its own post-check. `_exit_code` holds that contract; the exception
@@ -12,9 +21,9 @@ Each subcommand imports the layers it runs when it runs, so a command
 starts up without the ones it does not need.
 """
 
-import argparse
 import sys
-from typing import NamedTuple
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .formulas import ORACLE_MAX_N, check_count, construction_splitters, f_max
 from .formulas import BadInput, ConstructionCheckFailed, DegenerateInput, PerturbationFailed
@@ -233,74 +242,210 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cycleregions",
-        description="Construct, count, verify, and render maximal-region "
-        "straight-line embeddings of cycle graphs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class Option(NamedTuple):
+    """One entry of a command's argument list. A flag without leading
+    dashes is a positional argument. `kind` is int, str, a tuple of the
+    accepted values, or bool for a switch; a switch whose default is True
+    is turned off by its --no- form."""
 
-    p = sub.add_parser("construct", help="build a maximal embedding and write it to a file")
-    p.add_argument("--n", type=int, required=True, help="cycle length (n >= 3)")
-    p.add_argument("--out", required=True, help="output embedding file")
-    p.add_argument("--seed", type=int, default=0, help="perturbation seed (default 0)")
-    p.add_argument("--format", choices=("human", "tsv"), default="human")
-    p.set_defaults(func=cmd_construct)
+    flag: str
+    kind: object
+    default: object  # REQUIRED, or the value when the option is not given
+    help: str
 
-    p = sub.add_parser("count", help="count vertices, edges, and regions of an embedding file")
-    p.add_argument("path", help="embedding file")
-    p.add_argument("--format", choices=("human", "tsv"), default="human")
-    p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("verify", help="check constructions against the closed forms over a range of n")
-    p.add_argument("--n-min", type=int, default=3)
-    p.add_argument("--n-max", type=int, default=15)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("human", "tsv"), default="human")
-    p.set_defaults(func=cmd_verify)
+class Command(NamedTuple):
+    help: str
+    handler: Callable[[SimpleNamespace], int]
+    options: tuple[Option, ...]
 
-    p = sub.add_parser("oracle", help="exact convex-position maximum for small n, by branch and bound")
-    p.add_argument("--n", type=int, required=True, help=f"3 <= n <= {ORACLE_MAX_N}")
-    p.add_argument("--format", choices=("human", "tsv"), default="human")
-    p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("search", help="randomized probing of the region-count bound")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=("human", "tsv"), default="human")
-    p.set_defaults(func=cmd_search)
+REQUIRED = object()
+HELP_FLAGS = ("-h", "--help")
+FORMAT = Option("--format", ("human", "tsv"), "human", "output layout")
+SEED = Option("--seed", int, 0, "perturbation seed")
 
-    p = sub.add_parser("render", help="render an embedding file to SVG")
-    p.add_argument("path", help="embedding file")
-    p.add_argument("--out", help="output SVG file (default: stdout)")
-    p.add_argument("--width", type=int, default=640)
-    p.add_argument("--height", type=int, default=640)
-    p.add_argument(
-        "--label-corners",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="draw corner indices (default on)",
-    )
-    p.add_argument("--highlight-splitters", action="store_true")
-    p.add_argument("--shade-regions", action="store_true")
-    p.add_argument("--stroke")
-    p.add_argument("--splitter-stroke")
-    p.add_argument("--fill")
-    p.set_defaults(func=cmd_render)
+COMMANDS = {
+    "construct": Command(
+        "build a maximal embedding and write it to a file",
+        cmd_construct,
+        (
+            Option("--n", int, REQUIRED, "cycle length, at least 3"),
+            Option("--out", str, REQUIRED, "output embedding file"),
+            SEED,
+            FORMAT,
+        ),
+    ),
+    "count": Command(
+        "count vertices, edges, and regions of an embedding file",
+        cmd_count,
+        (Option("path", str, REQUIRED, "embedding file"), FORMAT),
+    ),
+    "verify": Command(
+        "check constructions against the closed forms over a range of n",
+        cmd_verify,
+        (
+            Option("--n-min", int, 3, "smallest n, at least 3"),
+            Option("--n-max", int, 15, "largest n"),
+            SEED,
+            FORMAT,
+        ),
+    ),
+    "oracle": Command(
+        "exact convex-position maximum for small n, by branch and bound",
+        cmd_oracle,
+        (Option("--n", int, REQUIRED, f"cycle length, 3 to {ORACLE_MAX_N}"), FORMAT),
+    ),
+    "search": Command(
+        "randomized probing of the region-count bound",
+        cmd_search,
+        (
+            Option("--n", int, REQUIRED, "cycle length, at least 3"),
+            Option("--trials", int, 1000, "random drawings to count"),
+            Option("--seed", int, 0, "random seed"),
+            FORMAT,
+        ),
+    ),
+    "render": Command(
+        "render an embedding file to SVG",
+        cmd_render,
+        (
+            Option("path", str, REQUIRED, "embedding file"),
+            Option("--out", str, None, "output SVG file (default: stdout)"),
+            Option("--width", int, 640, "viewport width in pixels"),
+            Option("--height", int, 640, "viewport height in pixels"),
+            Option("--label-corners", bool, True, "draw corner indices"),
+            Option("--highlight-splitters", bool, False, "stroke splitters in their own colour"),
+            Option("--shade-regions", bool, False, "fill the bounded regions"),
+            Option("--stroke", str, None, "segment and corner colour (default #1f3a5f)"),
+            Option("--splitter-stroke", str, None, "splitter colour (default #c0392b)"),
+            Option("--fill", str, None, "region fill colour (default #f2d9a0)"),
+        ),
+    ),
+}
 
-    return parser
+
+def _parse(argv: list[str]) -> tuple[str | None, SimpleNamespace | None]:
+    """The command argv names and its arguments, read against COMMANDS.
+    The arguments are None when argv asks for help, and so is the command
+    for the top-level help. A malformed line raises BadInput."""
+    if not argv:
+        raise BadInput(f"no command given; the commands are {', '.join(COMMANDS)}")
+    name, *rest = argv
+    if name in HELP_FLAGS:
+        return None, None
+    if name not in COMMANDS:
+        raise BadInput(f"unknown command {name!r}; the commands are {', '.join(COMMANDS)}")
+    options = COMMANDS[name].options
+    flags = {}
+    for opt in options:
+        flags[opt.flag] = opt
+        if opt.kind is bool and opt.default is True:
+            flags["--no-" + opt.flag[2:]] = opt
+    values = {}
+    positional = []
+    tokens = iter(rest)
+    for token in tokens:
+        if token == "--":
+            positional += tokens
+        elif not token.startswith("-"):
+            positional.append(token)
+        elif token in HELP_FLAGS:
+            return name, None
+        else:
+            flag, has_value, value = token.partition("=")
+            opt = flags.get(flag)
+            if opt is None:
+                raise BadInput(f"unknown option {flag!r} for {name}")
+            if opt.kind is bool:
+                if has_value:
+                    raise BadInput(f"{flag} takes no value")
+                values[opt.flag] = flag == opt.flag
+                continue
+            if not has_value:
+                value = next(tokens, None)
+                if value is None:
+                    raise BadInput(f"{flag} needs a value")
+            values[opt.flag] = _convert(opt, value)
+    slots = [opt for opt in options if opt.flag[0] != "-"]
+    if len(positional) > len(slots):
+        raise BadInput(f"unexpected argument {positional[len(slots)]!r} for {name}")
+    for opt, value in zip(slots, positional):
+        values[opt.flag] = value
+    args = SimpleNamespace()
+    for opt in options:
+        value = values.get(opt.flag, opt.default)
+        if value is REQUIRED:
+            raise BadInput(f"{opt.flag} is required for {name}")
+        setattr(args, opt.flag.lstrip("-").replace("-", "_"), value)
+    return name, args
+
+
+def _convert(opt: Option, value: str):
+    if opt.kind is int:
+        try:
+            return int(value)
+        except ValueError as exc:
+            raise BadInput(f"{opt.flag} must be an integer: {exc}") from None
+    if isinstance(opt.kind, tuple) and value not in opt.kind:
+        raise BadInput(f"{opt.flag} must be one of {', '.join(opt.kind)}, got {value!r}")
+    return value
+
+
+def _help(name: str | None) -> str:
+    """The --help text of a command, or of the program for None. It is
+    the same at every terminal width."""
+    if name is None:
+        width = max(map(len, COMMANDS)) + 2
+        lines = [
+            "usage: cycleregions <command> [options]",
+            "",
+            "Construct, count, verify, and render maximal-region straight-line embeddings",
+            "of cycle graphs.",
+            "",
+            "commands:",
+            *(f"  {cmd:<{width}}{command.help}" for cmd, command in COMMANDS.items()),
+            "",
+            "Run 'cycleregions <command> --help' for a command's options.",
+        ]
+        return "\n".join(lines) + "\n"
+    command = COMMANDS[name]
+    rows = [(_label(opt), opt.help + _default(opt)) for opt in command.options]
+    rows.append((", ".join(HELP_FLAGS), "print this help and exit"))
+    width = max(len(label) for label, _ in rows) + 2
+    positional = "".join(f" {opt.flag}" for opt in command.options if opt.flag[0] != "-")
+    lines = [f"usage: cycleregions {name}{positional} [options]", "", command.help, ""]
+    lines += [f"  {label:<{width}}{text}" for label, text in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _label(opt: Option) -> str:
+    if opt.flag[0] != "-":
+        return opt.flag
+    if opt.kind is bool:
+        return f"--[no-]{opt.flag[2:]}" if opt.default is True else opt.flag
+    if isinstance(opt.kind, tuple):
+        return f"{opt.flag} {{{','.join(opt.kind)}}}"
+    return f"{opt.flag} {'N' if opt.kind is int else 'TEXT'}"
+
+
+def _default(opt: Option) -> str:
+    if opt.default is REQUIRED:
+        return " (required)"
+    if opt.default is None:
+        return ""
+    if opt.kind is bool:
+        return " (default on)" if opt.default else " (default off)"
+    return f" (default {opt.default})"
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_BAD_INPUT
-    try:
-        return args.func(args)
+        name, args = _parse(sys.argv[1:] if argv is None else list(argv))
+        if args is None:
+            print(_help(name), end="")
+            return EXIT_OK
+        return COMMANDS[name].handler(args)
     except Exception as exc:
         code = _exit_code(exc)
         if code is None:

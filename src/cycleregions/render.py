@@ -6,6 +6,7 @@ once and only then converted to a float, which is printed with six
 fractional digits.
 """
 
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -30,9 +31,13 @@ class RenderOptions(NamedTuple):
 
 def check_size(width: int, height: int) -> None:
     """Raise BadInput unless the viewport's width and height are both
-    positive."""
+    positive and convert to a float, as the screen coordinates must."""
     if width <= 0 or height <= 0:
         raise BadInput(f"render size must be positive, got {width}x{height}")
+    try:
+        float(width), float(height)
+    except OverflowError:
+        raise BadInput(f"render size must be at most {sys.float_info.max:.1e}") from None
 
 
 def check_color(color: str, name: str) -> None:
@@ -52,11 +57,11 @@ def to_svg(emb: CycleEmbedding, options: Optional[RenderOptions] = None) -> str:
     """Render an embedding to SVG text.
 
     The viewport fits the exact corner bounding box with a 5% margin; a
-    width or height that is not positive, or a colour that `check_color`
-    refuses, raises BadInput. With highlight_splitters, the splitters of
-    the drawing's pair table get the splitter stroke. Region shading is a
-    single even-odd fill of the closed polyline; it is illustrative only
-    and can hide regions the even-odd rule cancels.
+    width or height that `check_size` refuses, or a colour that
+    `check_color` refuses, raises BadInput. With highlight_splitters, the
+    splitters of the drawing's pair table get the splitter stroke. Region
+    shading is a single even-odd fill of the closed polyline; it is
+    illustrative only and can hide regions the even-odd rule cancels.
     """
     opts = options or RenderOptions()
     check_size(opts.width, opts.height)

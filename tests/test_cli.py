@@ -275,6 +275,19 @@ class TestErrorContract:
         assert out == ""
         assert "bad input: render size must be positive" in err
 
+    @pytest.mark.parametrize("flag", ["--width", "--height"])
+    def test_render_size_past_the_float_range_is_bad_input(
+        self, pentagon_file, tmp_path, capsys, flag
+    ):
+        # Screen coordinates are floats. The check runs before the file is
+        # read, so a missing file exits 2 too, not 3.
+        for path in (pentagon_file, str(tmp_path / "missing.txt")):
+            assert run(capsys, "render", path, flag, "1" + "0" * 400) == (
+                2,
+                "",
+                "bad input: render size must be at most 1.8e+308\n",
+            )
+
     def test_perturbation_failure_is_degenerate(self, tmp_path, capsys, monkeypatch):
         def fail(n, seed=0):
             raise PerturbationFailed("no general-position embedding within 64 attempts")
@@ -416,3 +429,191 @@ def test_module_entry_point(n, code, out, err):
         text=True,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+HELP = {
+    None: """\
+usage: cycleregions <command> [options]
+
+Construct, count, verify, and render maximal-region straight-line embeddings
+of cycle graphs.
+
+commands:
+  construct  build a maximal embedding and write it to a file
+  count      count vertices, edges, and regions of an embedding file
+  verify     check constructions against the closed forms over a range of n
+  oracle     exact convex-position maximum for small n, by branch and bound
+  search     randomized probing of the region-count bound
+  render     render an embedding file to SVG
+
+Run 'cycleregions <command> --help' for a command's options.
+""",
+    "construct": """\
+usage: cycleregions construct [options]
+
+build a maximal embedding and write it to a file
+
+  --n N                 cycle length, at least 3 (required)
+  --out TEXT            output embedding file (required)
+  --seed N              perturbation seed (default 0)
+  --format {human,tsv}  output layout (default human)
+  -h, --help            print this help and exit
+""",
+    "count": """\
+usage: cycleregions count path [options]
+
+count vertices, edges, and regions of an embedding file
+
+  path                  embedding file (required)
+  --format {human,tsv}  output layout (default human)
+  -h, --help            print this help and exit
+""",
+    "verify": """\
+usage: cycleregions verify [options]
+
+check constructions against the closed forms over a range of n
+
+  --n-min N             smallest n, at least 3 (default 3)
+  --n-max N             largest n (default 15)
+  --seed N              perturbation seed (default 0)
+  --format {human,tsv}  output layout (default human)
+  -h, --help            print this help and exit
+""",
+    "oracle": """\
+usage: cycleregions oracle [options]
+
+exact convex-position maximum for small n, by branch and bound
+
+  --n N                 cycle length, 3 to 19 (required)
+  --format {human,tsv}  output layout (default human)
+  -h, --help            print this help and exit
+""",
+    "search": """\
+usage: cycleregions search [options]
+
+randomized probing of the region-count bound
+
+  --n N                 cycle length, at least 3 (required)
+  --trials N            random drawings to count (default 1000)
+  --seed N              random seed (default 0)
+  --format {human,tsv}  output layout (default human)
+  -h, --help            print this help and exit
+""",
+    "render": """\
+usage: cycleregions render path [options]
+
+render an embedding file to SVG
+
+  path                    embedding file (required)
+  --out TEXT              output SVG file (default: stdout)
+  --width N               viewport width in pixels (default 640)
+  --height N              viewport height in pixels (default 640)
+  --[no-]label-corners    draw corner indices (default on)
+  --highlight-splitters   stroke splitters in their own colour (default off)
+  --shade-regions         fill the bounded regions (default off)
+  --stroke TEXT           segment and corner colour (default #1f3a5f)
+  --splitter-stroke TEXT  splitter colour (default #c0392b)
+  --fill TEXT             region fill colour (default #f2d9a0)
+  -h, --help              print this help and exit
+""",
+}
+
+
+class TestCommandLine:
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    @pytest.mark.parametrize("command", list(HELP), ids=lambda c: c or "top")
+    def test_help_is_pinned(self, capsys, command, flag):
+        argv = [flag] if command is None else [command, flag]
+        assert run(capsys, *argv) == (0, HELP[command], "")
+
+    def test_help_wins_wherever_it_stands(self, capsys):
+        # Only what comes before it is read, and a missing path or --n is
+        # not an error when help is asked for.
+        assert run(capsys, "render", "--width", "5", "--help") == (0, HELP["render"], "")
+        assert run(capsys, "construct", "-h", "--n", "seven") == (0, HELP["construct"], "")
+
+    def test_help_names_the_render_defaults(self):
+        from cycleregions.render import RenderOptions
+
+        defaults = RenderOptions._field_defaults
+        for name in ("stroke", "splitter_stroke", "fill", "width", "height"):
+            assert f"(default {defaults[name]})" in HELP["render"]
+
+    def test_help_is_the_same_at_every_terminal_width(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outputs = set()
+        for columns in ("40", "200"):
+            env = dict(os.environ, COLUMNS=columns)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+            proc = subprocess.run(
+                [sys.executable, "-m", "cycleregions.cli", "render", "--help"],
+                env=env,
+                capture_output=True,
+            )
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            outputs.add(proc.stdout)
+        assert outputs == {HELP["render"].encode()}
+
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            pytest.param((), "no command given; the commands are "
+                         "construct, count, verify, oracle, search, render", id="no-command"),
+            pytest.param(("frobnicate",), "unknown command 'frobnicate'; the commands are "
+                         "construct, count, verify, oracle, search, render", id="unknown-command"),
+            pytest.param(("render", "{path}", "--frob", "1"), "unknown option '--frob' for render",
+                         id="unknown-option"),
+            # Abbreviations are not read: an added option could change their meaning.
+            pytest.param(("render", "{path}", "--high"), "unknown option '--high' for render",
+                         id="abbreviation"),
+            pytest.param(("construct", "--out", "{out}", "--n"), "--n needs a value",
+                         id="no-value"),
+            pytest.param(("construct", "--n", "seven", "--out", "{out}"),
+                         "--n must be an integer: invalid literal for int() with base 10: 'seven'",
+                         id="not-an-integer"),
+            pytest.param(("count", "{path}", "--format", "xml"),
+                         "--format must be one of human, tsv, got 'xml'", id="bad-choice"),
+            pytest.param(("construct", "--out", "{out}"), "--n is required for construct",
+                         id="missing-option"),
+            pytest.param(("count",), "path is required for count", id="missing-path"),
+            pytest.param(("count", "{path}", "extra"), "unexpected argument 'extra' for count",
+                         id="extra-positional"),
+            pytest.param(("render", "{path}", "--shade-regions=yes"),
+                         "--shade-regions takes no value", id="switch-with-value"),
+        ],
+    )
+    def test_malformed_line_is_bad_input(self, pentagon_file, tmp_path, capsys, argv, err):
+        out_file = tmp_path / "x.txt"
+        argv = [arg.format(path=pentagon_file, out=out_file) for arg in argv]
+        assert run(capsys, *argv) == (2, "", f"bad input: {err}\n")
+        assert not out_file.exists()
+
+    def test_integer_past_the_digit_limit_is_bad_input(self, capsys):
+        # int() refuses it where the digit limit exists (its message is
+        # printed); elsewhere the oracle refuses n itself.
+        code, out, err = run(capsys, "oracle", "--n", "1" * 4301)
+        assert (code, out) == (2, "")
+        assert err.startswith("bad input: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize(
+        "spelled,canonical",
+        [
+            (("construct", "--n=7", "--out={out}"), ("construct", "--n", "7", "--out", "{out}")),
+            (("count", "--format", "tsv", "{path}"), ("count", "{path}", "--format", "tsv")),
+            (("count", "--", "{path}"), ("count", "{path}")),
+            (("count", "{path}", "--format", "human", "--format=tsv"),
+             ("count", "{path}", "--format", "tsv")),
+            (("render", "--no-label-corners", "--width", "300", "{path}"),
+             ("render", "{path}", "--width", "300", "--no-label-corners")),
+            (("render", "{path}", "--no-label-corners", "--label-corners"), ("render", "{path}")),
+        ],
+    )
+    def test_spellings_of_one_line_agree(self, pentagon_file, tmp_path, capsys, spelled, canonical):
+        out_file = str(tmp_path / "x.txt")
+        outputs = [
+            run(capsys, *(arg.format(path=pentagon_file, out=out_file) for arg in argv))
+            for argv in (spelled, canonical)
+        ]
+        assert outputs[0][0] == 0
+        assert outputs[0] == outputs[1]

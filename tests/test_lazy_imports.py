@@ -154,6 +154,34 @@ def test_failed_command_loads_no_geometry_layer(argv):
     assert loaded.isdisjoint(LAYERS + ["cycleregions.pairs", "fractions", "decimal"])
 
 
+@pytest.mark.parametrize(
+    "script,argv",
+    [
+        pytest.param("import cycleregions.cli", [], id="import"),
+        *(
+            pytest.param(RUN_CLI, argv, id=argv[0])
+            for argv in [
+                ["construct", "--n", "6", "--out", "{dir}/new.txt"],
+                ["count", "{dir}/c6.txt"],
+                ["render", "{dir}/c6.txt", "--out", "{dir}/c6.svg"],
+                ["verify", "--n-max", "6"],
+                ["oracle", "--n", "6"],
+                ["search", "--n", "8", "--trials", "2"],
+                ["--help"],
+            ]
+        ),
+        pytest.param(cli_script(2), ["search", "--n", "8", "--trials", "0"], id="failed"),
+    ],
+)
+def test_command_line_is_read_without_argparse(tmp_path, script, argv):
+    # argparse and the gettext it imports would take a few milliseconds of
+    # every command's start-up; cli reads argv against its own table.
+    cycleregions.save_embedding(cycleregions.construct(6), str(tmp_path / "c6.txt"))
+    loaded = loaded_after(script, *(arg.format(dir=tmp_path) for arg in argv))
+    assert "cycleregions.cli" in loaded
+    assert loaded.isdisjoint(["argparse", "gettext"])
+
+
 def test_import_loads_a_layer_only_on_first_use():
     assert not any(m.startswith("cycleregions.") for m in loaded_after("import cycleregions"))
     loaded = loaded_after("import cycleregions\ncycleregions.f_max")

@@ -40,6 +40,15 @@ def test_rejects_a_size_that_is_not_positive(size, shown):
         to_svg(construct_odd(5), opts)
 
 
+@pytest.mark.parametrize("size", [(10**400, 640), (640, 10**400)])
+def test_rejects_a_size_past_the_float_range(size):
+    # Screen coordinates are floats, so a side that float() cannot hold
+    # would end the render in an OverflowError.
+    opts = RenderOptions(width=size[0], height=size[1])
+    with pytest.raises(BadInput, match=r"^render size must be at most 1\.8e\+308$"):
+        to_svg(construct_odd(5), opts)
+
+
 @pytest.mark.parametrize("field", ["stroke", "splitter_stroke", "fill"])
 @pytest.mark.parametrize("color", ['red" onload="alert(1)', "rød"])
 def test_rejects_a_color_that_would_leave_its_attribute(field, color):
