@@ -24,7 +24,7 @@ _EXPORTS = {
     "OracleResult": "search",
     "Orientation": "geometry",
     "PerturbationFailed": "formulas",
-    "Point": "embedding",
+    "Point": "geometry",
     "PointNotOnSegment": "geometry",
     "RenderOptions": "render",
     "Segment": "geometry",

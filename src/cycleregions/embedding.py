@@ -1,25 +1,24 @@
-"""Cycle embeddings: the exact point record, corner placements, the
-extremal construction, the pair table behind general-position
-validation, deterministic perturbation, and the text file format.
+"""Cycle embeddings: corner placements, the extremal construction, the
+pair table behind general-position validation, deterministic perturbation,
+and the text file format.
 
 An embedding is the full description of a drawing: n corners in cycle
 order, with segment i joining corner i to corner (i+1) mod n. A segment
 has no record of its own; every reader takes it as that pair of corners.
-Corners are exact rational `Point`s, so degeneracy detection is a
-decision, not a tolerance. `pair_table` scales them to integers once and
-returns their `pairs.PairClasses`, whose one pass over the segment pairs
-in integer arithmetic classifies every pair, touches and overlaps
-included, and finds every corner that lies inside another segment. This
-module adds only what needs `Fraction`: the scaling, the triple points and
-the records. The `Fraction` predicates of `geometry` are not needed to
-draw, count or check a drawing.
+Corners are integer pairs over one common denominator, so a drawing is
+exact rationals and degeneracy detection is a decision, not a tolerance.
+`pair_table` returns the corners' `pairs.PairClasses`, whose one pass over
+the segment pairs in integer arithmetic classifies every pair, touches and
+overlaps included, and finds every corner that lies inside another
+segment. Triple points, perturbation and the file format are integer
+arithmetic too, so this module loads no `fractions`; the `Fraction`
+predicates of `geometry` are not needed to draw, count or check a drawing.
 """
 
 import math
 import random
 import re
-from fractions import Fraction
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple
 
 from .formulas import (
     BadInput, ConstructionCheckFailed, InvalidN, PerturbationFailed, check_count, check_n,
@@ -30,8 +29,18 @@ from .pairs import PairClasses, classify_pairs
 # Decimal digits of each unit-circle polygon coordinate.
 POLYGON_DIGITS = 12
 PERTURB_RETRIES = 64
+
+
+class _Ratio(NamedTuple):  # a rational epsilon for perturb, without fractions
+    numerator: int
+    denominator: int
+
+    def __str__(self) -> str:
+        return f"{self.numerator}/{self.denominator}"
+
+
 # Perturbation size for the constructions, whose circumradius is 1.
-PERTURB_EPSILON = Fraction(1, 10_000)
+PERTURB_EPSILON = _Ratio(1, 10_000)
 # Denominator bound for the random offsets drawn inside perturb().
 _OFFSET_GRID = 10**6
 # The file format's only spellings of a count and of a coordinate.
@@ -39,44 +48,39 @@ _COUNT = re.compile("[0-9]+")
 _RATIONAL = re.compile("(-?[0-9]+)/([0-9]+)")
 
 
-class _PointFields(NamedTuple):
-    x: Fraction
-    y: Fraction
-
-
-class Point(_PointFields):
-    """Immutable exact point; coordinates are normalised to Fraction."""
-
-    __slots__ = ()
-
-    def __new__(cls, x, y) -> "Point":
-        return super().__new__(cls, Fraction(x), Fraction(y))
-
-
 class _CycleEmbeddingFields(NamedTuple):
     n: int
-    corners: tuple[Point, ...]
+    corners: tuple[tuple[int, int], ...]
+    den: int
 
 
 class CycleEmbedding(_CycleEmbeddingFields):
     """n corners in cycle order; segment i joins corner i to corner i+1
-    (indices mod n)."""
+    (indices mod n). Corner k is (x / den, y / den) for (x, y) = corners[k].
+    A factor that den shares with every coordinate is divided out, so den
+    is the lcm of the coordinates' lowest-terms denominators."""
 
     __slots__ = ()
 
-    def __new__(cls, n: int, corners: Iterable[Point]) -> "CycleEmbedding":
+    def __new__(cls, n: int, corners: Iterable[tuple[int, int]], den: int = 1) -> "CycleEmbedding":
         check_n(n, "cycle length")
-        corners = tuple(corners)
+        check_count(den, "denominator", 1)
+        corners = tuple((x, y) for x, y in corners)
         if len(corners) != n:
             raise ValueError(f"expected {n} corners, got {len(corners)}")
-        return super().__new__(cls, n, corners)
+        g = math.gcd(den, *(c for p in corners for c in p))
+        if g > 1:
+            den //= g
+            corners = tuple((x // g, y // g) for x, y in corners)
+        return super().__new__(cls, n, corners, den)
 
 
 class DegeneracyReport(NamedTuple):
     """Everything that keeps an embedding out of general position.
 
-    triple_points:      (point, cycle indices of the >= 3 segments with a
-                         common proper crossing there)
+    triple_points:      ((x, y, d), cycle indices of the >= 3 segments
+                         with a common proper crossing at (x / d, y / d)),
+                         in lowest terms, d > 0, ordered by x / d, y / d
     corner_incidences:  (corner index, cycle index of a non-incident
                          segment whose interior contains that corner)
     collinear_overlaps: (cycle index, cycle index) pairs sharing a
@@ -86,7 +90,7 @@ class DegeneracyReport(NamedTuple):
     An empty report is exactly general position.
     """
 
-    triple_points: tuple[tuple[Point, tuple[int, ...]], ...] = ()
+    triple_points: tuple[tuple[tuple[int, int, int], tuple[int, ...]], ...] = ()
     corner_incidences: tuple[tuple[int, int], ...] = ()
     collinear_overlaps: tuple[tuple[int, int], ...] = ()
     coincident_corners: tuple[tuple[int, int], ...] = ()
@@ -105,18 +109,19 @@ class DegeneracyReport(NamedTuple):
         return "; ".join(parts)
 
 
-def _crossing_point(pts: tuple[tuple[int, int], ...], scale: int, i: int, j: int) -> Point:
-    """The exact point where the lines of segments i and j meet, for the
-    corners pts scaled by scale to integers."""
-    n = len(pts)
-    (ax, ay), (bx, by) = pts[i], pts[(i + 1) % n]
-    (cx, cy), (dx, dy) = pts[j], pts[(j + 1) % n]
+def _crossing_point(emb: CycleEmbedding, i: int, j: int) -> tuple[int, int, int]:
+    """The point where the lines of segments i and j meet, as the integers
+    (x, y, d) in lowest terms, d > 0, of the point (x / d, y / d)."""
+    pts = emb.corners
+    (ax, ay), (bx, by) = pts[i], pts[(i + 1) % emb.n]
+    (cx, cy), (dx, dy) = pts[j], pts[(j + 1) % emb.n]
     vx, vy = dx - cx, dy - cy
     # Segment j's line meets segment i's at t / q of the way along it.
     t = vx * (ay - cy) - vy * (ax - cx)
     q = t - (vx * (by - cy) - vy * (bx - cx))
-    d = q * scale
-    return Point(Fraction(ax * q + t * (bx - ax), d), Fraction(ay * q + t * (by - ay), d))
+    x, y, d = ax * q + t * (bx - ax), ay * q + t * (by - ay), q * emb.den
+    g = math.gcd(x, y, d) if d > 0 else -math.gcd(x, y, d)
+    return x // g, y // g, d // g
 
 
 def _crossing_ends(chains: tuple[tuple[int, ...], ...]) -> list[list[int]]:
@@ -133,26 +138,13 @@ _latest: list = [None, None]  # the latest drawing and its pair table
 
 def pair_table(emb: CycleEmbedding) -> PairClasses:
     """The `pairs.PairClasses` of the drawing: its n(n-1)/2 segment pairs
-    classified once, in integers. Validation, subdivision, the face walk
-    and splitter analysis all read the classes kept for the latest drawing.
-    That drawing is recognised by identity, because hashing its Fraction
-    corners costs about a seventh of classifying its pairs.
+    classified once, from its integer corners over their one denominator.
+    Validation, subdivision, the face walk and splitter analysis all read
+    the classes kept for the latest drawing, recognised by identity.
     """
     if emb is not _latest[0]:
-        _latest[:] = emb, classify_pairs(_scaled_corners(emb)[1])
+        _latest[:] = emb, classify_pairs(emb.corners)
     return _latest[1]
-
-
-def _scaled_corners(emb: CycleEmbedding) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """The lcm of the corners' denominators and the corners scaled by it
-    to integers. That is a similarity map, so every orientation sign, and
-    with it every classification, is that of the exact rational drawing."""
-    scale = math.lcm(*(c.denominator for p in emb.corners for c in (p.x, p.y)))
-    pts = tuple(
-        (p.x.numerator * (scale // p.x.denominator), p.y.numerator * (scale // p.y.denominator))
-        for p in emb.corners
-    )
-    return scale, pts
 
 
 def validate_general_position(emb: CycleEmbedding) -> DegeneracyReport:
@@ -162,45 +154,52 @@ def validate_general_position(emb: CycleEmbedding) -> DegeneracyReport:
     General position means: corners pairwise distinct, no corner interior
     to a non-incident segment, no collinear overlapping segments, and no
     point where three or more segments cross. Only the crossings that the
-    table finds at one point of a segment are built as `Point`s, for the
+    table finds at one point of a segment are built as points, for the
     report's triple points.
     """
     pairs = pair_table(emb)
     # Two crossings at one point of a segment name at least three segments.
-    shared: dict[Point, set[int]] = {}
+    shared: dict[tuple[int, int, int], set[int]] = {}
     if pairs.ties:
-        scale, pts = _scaled_corners(emb)
         ends = _crossing_ends(pairs.chains)
         for c, c2 in pairs.ties:
-            point = _crossing_point(pts, scale, *ends[c])
+            point = _crossing_point(emb, *ends[c])
             shared.setdefault(point, set()).update(ends[c], ends[c2])
-    triples = tuple(sorted((p, tuple(sorted(ids))) for p, ids in shared.items()))
+    # Over their common denominator, the points sort by integer x, then y.
+    den = math.lcm(*(d for _, _, d in shared))
+    triples = tuple(sorted(
+        ((p, tuple(sorted(ids))) for p, ids in shared.items()),
+        key=lambda t: (t[0][0] * (den // t[0][2]), t[0][1] * (den // t[0][2])),
+    ))
     return DegeneracyReport(triples, pairs.incidences, pairs.overlaps, pairs.coincident)
 
 
-def perturb(emb: CycleEmbedding, epsilon: Union[int, Fraction], seed: int = 0) -> CycleEmbedding:
+def perturb(emb: CycleEmbedding, epsilon, seed: int = 0) -> CycleEmbedding:
     """Displace every corner by a deterministic seeded rational offset of
     magnitude at most epsilon, retrying with fresh offsets until the result
     is in general position.
 
     Identical (emb, epsilon, seed) always yields the identical embedding.
-    Raises PerturbationFailed after PERTURB_RETRIES failed attempts and
-    ValueError for epsilon <= 0 or a seed that `check_count` rejects.
+    Raises PerturbationFailed after PERTURB_RETRIES failed attempts, and
+    ValueError before the first for a seed that `check_count` rejects or
+    an epsilon that is not a positive int or a positive rational with int
+    numerator and denominator, such as a Fraction: a float or a bool is not.
     """
-    epsilon = Fraction(epsilon)
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    ratio = (getattr(epsilon, "numerator", None), getattr(epsilon, "denominator", None))
+    if isinstance(epsilon, bool) or not all(isinstance(v, int) and v > 0 for v in ratio):
+        raise ValueError(f"epsilon must be a positive int or rational, got {epsilon!r}")
     check_count(seed, "seed", 0)
+    # A step r in [-g, g] moves a coordinate x / emb.den by epsilon * r / (2g),
+    # to (x * unit + step * r) / (emb.den * unit), and a corner by <= epsilon.
+    (num, den), g = ratio, _OFFSET_GRID
+    unit, step = den * 2 * g, num * emb.den
     for attempt in range(PERTURB_RETRIES):
         rng = random.Random(seed * (1 << 32) + attempt)
-        moved = []
-        for p in emb.corners:
-            # Per-coordinate offsets in [-epsilon/2, epsilon/2] keep the
-            # displacement magnitude at most epsilon.
-            dx = epsilon * Fraction(rng.randint(-_OFFSET_GRID, _OFFSET_GRID), 2 * _OFFSET_GRID)
-            dy = epsilon * Fraction(rng.randint(-_OFFSET_GRID, _OFFSET_GRID), 2 * _OFFSET_GRID)
-            moved.append(Point(p.x + dx, p.y + dy))
-        candidate = CycleEmbedding(emb.n, tuple(moved))
+        moved = [
+            (x * unit + step * rng.randint(-g, g), y * unit + step * rng.randint(-g, g))
+            for x, y in emb.corners
+        ]
+        candidate = CycleEmbedding(emb.n, moved, emb.den * unit)
         if validate_general_position(candidate).is_empty():
             return candidate
     raise PerturbationFailed(
@@ -209,9 +208,10 @@ def perturb(emb: CycleEmbedding, epsilon: Union[int, Fraction], seed: int = 0) -
     )
 
 
-def regular_polygon_points(k: int) -> list[Point]:
-    """Rational approximations of the k vertices of the regular k-gon
-    inscribed in the unit circle, counterclockwise from the positive x axis.
+def regular_polygon_points(k: int) -> list[tuple[int, int]]:
+    """The k vertices of the regular k-gon inscribed in the unit circle,
+    counterclockwise from the positive x axis, as integer pairs over
+    10**POLYGON_DIGITS.
 
     Each coordinate is cos/sin of 2*pi*j/k rounded to POLYGON_DIGITS = 12
     decimal digits, which moves it by at most half of 10**-12. Two vertices
@@ -222,13 +222,8 @@ def regular_polygon_points(k: int) -> list[Point]:
     """
     check_n(k, "polygon vertex count")
     unit = 10**POLYGON_DIGITS
-    pts = []
-    for j in range(k):
-        ang = 2.0 * math.pi * j / k
-        x = Fraction(round(math.cos(ang) * unit), unit)
-        y = Fraction(round(math.sin(ang) * unit), unit)
-        pts.append(Point(x, y))
-    return pts
+    angles = (2.0 * math.pi * j / k for j in range(k))
+    return [(round(math.cos(a) * unit), round(math.sin(a) * unit)) for a in angles]
 
 
 def _place(n: int) -> CycleEmbedding:
@@ -237,7 +232,7 @@ def _place(n: int) -> CycleEmbedding:
     # endpoints of the two crossing connections.
     order = construction_order(n)
     poly = regular_polygon_points(n if n % 2 else n + 1)
-    return CycleEmbedding(n, tuple(poly[v] for v in order))
+    return CycleEmbedding(n, (poly[v] for v in order), 10**POLYGON_DIGITS)
 
 
 def construct(n: int, seed: int = 0) -> CycleEmbedding:
@@ -287,22 +282,24 @@ def format_embedding(emb: CycleEmbedding) -> str:
     bit-exactly.
     """
     lines = [f"n {emb.n}"]
-    for p in emb.corners:
-        lines.append(
-            f"corner {p.x.numerator}/{p.x.denominator}"
-            f" {p.y.numerator}/{p.y.denominator}"
-        )
+    den = emb.den
+    for x, y in emb.corners:
+        gx, gy = math.gcd(x, den), math.gcd(y, den)
+        lines.append(f"corner {x // gx}/{den // gx} {y // gy}/{den // gy}")
     return "\n".join(lines) + "\n"
 
 
-def _parse_rational(tok: str) -> Fraction:
+def _parse_rational(tok: str) -> tuple[int, int]:
+    """The coordinate's numerator and denominator in lowest terms, so that
+    the lcm of a file's denominators is that of its values."""
     match = _RATIONAL.fullmatch(tok)
     if match is None:
         raise ValueError(f"coordinate {tok!r} is not of the form p/q")
     num, den = int(match[1]), int(match[2])
     if den == 0:
         raise ValueError(f"bad coordinate {tok!r}: zero denominator")
-    return Fraction(num, den)
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def parse_embedding(text: str) -> CycleEmbedding:
@@ -311,7 +308,8 @@ def parse_embedding(text: str) -> CycleEmbedding:
 
     The count is ASCII digits and each coordinate is `-?[0-9]+/[0-9]+`
     with a denominator of at least 1. Other spellings `int()` would take,
-    such as `+1`, `1_0` or `1/-1`, are rejected."""
+    such as `+1`, `1_0` or `1/-1`, are rejected. A coordinate need not be
+    in lowest terms; the embedding is the same drawing either way."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty embedding document")
@@ -323,13 +321,15 @@ def parse_embedding(text: str) -> CycleEmbedding:
     n = int(head[1])
     if len(lines) - 1 != n:
         raise ValueError(f"expected {n} corner lines, got {len(lines) - 1}")
-    corners = []
+    coords = []
     for ln in lines[1:]:
         toks = ln.split()
         if len(toks) != 3 or toks[0] != "corner":
             raise ValueError(f"expected 'corner <p/q> <p/q>', got {ln!r}")
-        corners.append(Point(_parse_rational(toks[1]), _parse_rational(toks[2])))
-    return CycleEmbedding(n, tuple(corners))
+        coords += map(_parse_rational, toks[1:])
+    den = math.lcm(*(q for _, q in coords))
+    xs = [p * (den // q) for p, q in coords]
+    return CycleEmbedding(n, zip(xs[::2], xs[1::2]), den)
 
 
 def save_embedding(emb: CycleEmbedding, path: str) -> None:

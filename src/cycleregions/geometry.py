@@ -7,16 +7,35 @@ the even-cycle constructions are deliberately near-degenerate and epsilon
 tests would misclassify them. `pairs.classify_pairs` classifies a
 drawing's pairs on its own, in integers, and calls none of these
 predicates; they remain public API and the independent reference the tests
-check that classification against. No CLI subcommand loads this module. `Segment`,
-the closed segment these predicates take, is defined here; `Point` is
-defined in `embedding` and re-exported here.
+check that classification against. No CLI subcommand loads this module
+or `fractions`. `Point` and `Segment`, the records these predicates take,
+are defined here, and `corner_points` gives a drawing's corners as Points.
 """
 
 import enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
-from .embedding import Point
+from .embedding import CycleEmbedding
+
+
+class _PointFields(NamedTuple):
+    x: Fraction
+    y: Fraction
+
+
+class Point(_PointFields):
+    """Immutable exact point; coordinates are normalised to Fraction."""
+
+    __slots__ = ()
+
+    def __new__(cls, x, y) -> "Point":
+        return super().__new__(cls, Fraction(x), Fraction(y))
+
+
+def corner_points(emb: CycleEmbedding) -> list[Point]:
+    """The drawing's corners as exact rational points, in cycle order."""
+    return [Point(Fraction(x, emb.den), Fraction(y, emb.den)) for x, y in emb.corners]
 
 
 class _SegmentFields(NamedTuple):

@@ -12,7 +12,7 @@ meets all n - 1 others, a one-off splitter when it meets n - 2.
 
 This module imports no other module of the package and no `fractions`,
 so a caller with integer corners, such as the random search, classifies
-a drawing without loading the exact rational layer.
+a drawing without loading `embedding`.
 """
 
 from typing import NamedTuple, Optional, Sequence

@@ -2,19 +2,19 @@
 
 Output is plain SVG 1.1 text built by string assembly; identical inputs
 produce identical bytes. Each corner's exact screen position is computed
-once and only then converted to a float, which is printed with six
-fractional digits.
+once, as an integer numerator and denominator, and only then divided into
+a float, which is printed with six fractional digits. `int / int` rounds
+correctly, so the float is the one nearest the exact position.
 """
 
 import sys
-from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .arrangement import splitter_analysis
 from .embedding import CycleEmbedding
 from .formulas import BadInput, DegenerateInput
 
-MARGIN = Fraction(5, 100)  # of the viewport, on every side
+MARGIN = 5  # percent of the viewport, on every side
 STROKE_WIDTH = 2.0
 
 
@@ -31,7 +31,10 @@ class RenderOptions(NamedTuple):
 
 def check_size(width: int, height: int) -> None:
     """Raise BadInput unless the viewport's width and height are both
-    positive and convert to a float, as the screen coordinates must."""
+    positive ints, not bools, that convert to a float: the screen
+    coordinates are exact integer ratios until their one division."""
+    if any(type(side) is not int for side in (width, height)):
+        raise BadInput(f"render size must be integers, got {width!r}x{height!r}")
     if width <= 0 or height <= 0:
         raise BadInput(f"render size must be positive, got {width}x{height}")
     try:
@@ -67,30 +70,25 @@ def to_svg(emb: CycleEmbedding, options: Optional[RenderOptions] = None) -> str:
     check_size(opts.width, opts.height)
     for name in ("stroke", "splitter_stroke", "fill"):
         check_color(getattr(opts, name), name)
-    xs = [p.x for p in emb.corners]
-    ys = [p.y for p in emb.corners]
-    minx, maxx = min(xs), max(xs)
-    miny, maxy = min(ys), max(ys)
-    spanx = maxx - minx
-    spany = maxy - miny
-    pad_x = Fraction(opts.width) * MARGIN
-    pad_y = Fraction(opts.height) * MARGIN
-    avail_x = Fraction(opts.width) - 2 * pad_x
-    avail_y = Fraction(opts.height) - 2 * pad_y
-    scales = []
-    if spanx > 0:
-        scales.append(avail_x / spanx)
-    if spany > 0:
-        scales.append(avail_y / spany)
-    s = min(scales) if scales else Fraction(1)
-    # Centre the drawing in the viewport.
-    off_x = (Fraction(opts.width) - s * spanx) / 2
-    off_y = (Fraction(opts.height) - s * spany) / 2
-
-    # Screen position of every corner; y flips because SVG grows down.
+    xs = [x for x, _ in emb.corners]
+    ys = [y for _, y in emb.corners]
+    minx, maxy = min(xs), max(ys)
+    spanx, spany = max(xs) - minx, maxy - min(ys)
+    # Screen units per unit of the integer corners, sn / sd: the least
+    # ratio that fits a spanned side inside its margins, or 1 / den, one
+    # screen unit per drawing unit, when no side has a span.
+    inner = 100 - 2 * MARGIN  # percent of each side inside the margins
+    fit = None
+    for side, span in ((opts.width, spanx), (opts.height, spany)):
+        if span > 0 and (fit is None or side * inner * fit[1] < fit[0] * 100 * span):
+            fit = (side * inner, 100 * span)
+    sn, sd = fit or (1, emb.den)
+    # Centre the drawing in the viewport; y flips because SVG grows down.
+    left = opts.width * sd - sn * spanx
+    top = opts.height * sd - sn * spany
     screen = [
-        (float(off_x + s * (p.x - minx)), float(off_y + s * (maxy - p.y)))
-        for p in emb.corners
+        ((left + 2 * sn * (x - minx)) / (2 * sd), (top + 2 * sn * (maxy - y)) / (2 * sd))
+        for x, y in emb.corners
     ]
 
     splitter_flags = (False,) * emb.n

@@ -12,9 +12,8 @@ A random placement has integer corners, and in general position it
 encloses crossings + 1 regions, so the probes count regions and
 splitters with `pairs.classify_pairs` alone. Only the repair of a
 degenerate draw by `embedding.perturb`, and the `CycleEmbedding` that
-`random_search` returns, load the exact rational layer; the splitter
-bound never does. The probes import `pairs` when they run, so the oracle
-loads neither.
+`random_search` returns, load `embedding`; the splitter bound never does.
+The probes import `pairs` when they run, so the oracle loads neither.
 """
 
 import bisect
@@ -236,9 +235,9 @@ def _random_cycle_order(rng: random.Random, n: int) -> tuple[int, ...]:
 def _drawing(corners: tuple[tuple[int, int], ...], repair_seed: Optional[int]) -> "CycleEmbedding":
     """The integer corners as a CycleEmbedding, nudged into general position
     by `perturb(drawing, 1, repair_seed)` unless repair_seed is None."""
-    from .embedding import CycleEmbedding, Point, perturb
+    from .embedding import CycleEmbedding, perturb
 
-    emb = CycleEmbedding(len(corners), tuple(Point(x, y) for x, y in corners))
+    emb = CycleEmbedding(len(corners), corners)
     return emb if repair_seed is None else perturb(emb, 1, repair_seed)
 
 
@@ -252,8 +251,8 @@ def best_region_count(
 
     A general-position draw encloses crossings + 1 regions, read from its
     `classify_pairs` in integers. A degenerate draw is nudged into general
-    position by `_drawing`, which loads the `Fraction` layer, and counted
-    from its pair table. Deterministic for identical (n, trials, seed);
+    position by `_drawing`, which loads `embedding`, and counted from its
+    pair table. Deterministic for identical (n, trials, seed);
     trials below 1, a seed below 0, or either not an int raises ValueError.
     """
     check_n(n)

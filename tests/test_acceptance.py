@@ -27,7 +27,6 @@ from cycleregions.embedding import (
     validate_general_position,
 )
 from cycleregions.formulas import f_max, predicted_edges, predicted_vertices
-from cycleregions.geometry import Point
 from cycleregions.render import RenderOptions, to_svg
 from cycleregions.search import (
     oracle_max_regions_convex,
@@ -92,7 +91,7 @@ def _random_general_position_embedding(rng: random.Random, n: int) -> CycleEmbed
         xy = (rng.randint(0, 10**6), rng.randint(0, 10**6))
         if xy not in seen:
             seen.add(xy)
-            pts.append(Point(Fraction(xy[0]), Fraction(xy[1])))
+            pts.append(xy)
     order = [0] + rng.sample(range(1, n), n - 1)
     emb = CycleEmbedding(n, tuple(pts[i] for i in order))
     if not validate_general_position(emb).is_empty():

@@ -13,6 +13,7 @@ from cycleregions.arrangement import (
     splitter_analysis,
 )
 from cycleregions.embedding import (
+    POLYGON_DIGITS,
     CycleEmbedding,
     construct,
     construct_even,
@@ -22,15 +23,14 @@ from cycleregions.embedding import (
     validate_general_position,
 )
 from cycleregions.formulas import f_max, predicted_edges, predicted_vertices
-from cycleregions.geometry import Point
 
 
 def P(x, y):
-    return Point(Fraction(x), Fraction(y))
+    return (x, y)
 
 
 def convex(n):
-    return CycleEmbedding(n, tuple(regular_polygon_points(n)))
+    return CycleEmbedding(n, tuple(regular_polygon_points(n)), 10**POLYGON_DIGITS)
 
 
 class TestBuildArrangement:
@@ -52,15 +52,15 @@ class TestBuildArrangement:
 
     def test_degenerate_input_raises_with_report(self):
         poly = regular_polygon_points(6)
-        star = CycleEmbedding(6, tuple(poly[i] for i in (0, 3, 1, 4, 2, 5)))
+        star = CycleEmbedding(6, tuple(poly[i] for i in (0, 3, 1, 4, 2, 5)), 10**POLYGON_DIGITS)
         with pytest.raises(DegenerateInput) as exc:
             build_arrangement(star)
         assert len(exc.value.report.triple_points) == 1
 
     def test_one_more_crossing_one_more_region(self):
         square = regular_polygon_points(4)
-        plain = CycleEmbedding(4, tuple(square))
-        hourglass = CycleEmbedding(4, (square[0], square[2], square[1], square[3]))
+        plain = CycleEmbedding(4, tuple(square), 10**POLYGON_DIGITS)
+        hourglass = CycleEmbedding(4, (square[0], square[2], square[1], square[3]), 10**POLYGON_DIGITS)
         assert build_arrangement(plain).face_count == 1
         assert build_arrangement(hourglass).face_count == 2
 
@@ -88,7 +88,7 @@ class TestTraversalCounter:
 
     def test_agrees_after_repairing_a_degenerate_drawing(self):
         poly = regular_polygon_points(6)
-        star = CycleEmbedding(6, tuple(poly[i] for i in (0, 3, 1, 4, 2, 5)))
+        star = CycleEmbedding(6, tuple(poly[i] for i in (0, 3, 1, 4, 2, 5)), 10**POLYGON_DIGITS)
         fixed = perturb(star, Fraction(1, 1000), seed=0)
         assert region_count_traversal(fixed) == region_count_euler(
             build_arrangement(fixed)
@@ -142,7 +142,7 @@ class TestSplitterAnalysis:
     def test_works_on_triple_point_degeneracy(self):
         # splitter counting only needs pairwise intersection kinds
         poly = regular_polygon_points(6)
-        star = CycleEmbedding(6, tuple(poly[i] for i in (0, 3, 1, 4, 2, 5)))
+        star = CycleEmbedding(6, tuple(poly[i] for i in (0, 3, 1, 4, 2, 5)), 10**POLYGON_DIGITS)
         report = splitter_analysis(star)
         assert len(report.meets) == 6
 

@@ -9,6 +9,7 @@ import pytest
 from cycleregions import arrangement, embedding
 from cycleregions.cli import main
 from cycleregions.embedding import (
+    POLYGON_DIGITS,
     CycleEmbedding,
     PerturbationFailed,
     load_embedding,
@@ -82,7 +83,7 @@ class TestCount:
         assert out.strip().split("\t") == ["5", "10", "15", "6", "6", "5", "0", "0"]
 
     def test_convex_hexagon_single_region(self, tmp_path, capsys):
-        emb = CycleEmbedding(6, tuple(regular_polygon_points(6)))
+        emb = CycleEmbedding(6, tuple(regular_polygon_points(6)), 10**POLYGON_DIGITS)
         path = tmp_path / "hexagon.txt"
         save_embedding(emb, str(path))
         code, out, _ = run(capsys, "count", str(path))
@@ -139,7 +140,7 @@ class TestCount:
 
     def test_degenerate_file(self, tmp_path, capsys):
         poly = regular_polygon_points(6)
-        star = CycleEmbedding(6, tuple(poly[i] for i in (0, 3, 1, 4, 2, 5)))
+        star = CycleEmbedding(6, tuple(poly[i] for i in (0, 3, 1, 4, 2, 5)), 10**POLYGON_DIGITS)
         path = tmp_path / "star.txt"
         save_embedding(star, str(path))
         code, _, err = run(capsys, "count", str(path))

@@ -6,8 +6,6 @@ analysis and the splitter-highlighting renderer. The counters refuse them all; s
 still work where one intersection per segment pair is well defined.
 """
 
-from fractions import Fraction
-
 import pytest
 
 from cycleregions.arrangement import (
@@ -17,22 +15,22 @@ from cycleregions.arrangement import (
     splitter_analysis,
 )
 from cycleregions.embedding import (
+    POLYGON_DIGITS,
     CycleEmbedding,
     DegeneracyReport,
     regular_polygon_points,
     validate_general_position,
 )
-from cycleregions.geometry import Point
 from cycleregions.render import RenderOptions, to_svg
 
 
 def P(x, y):
-    return Point(Fraction(x), Fraction(y))
+    return (x, y)
 
 
 def on_polygon(k, labels):
     poly = regular_polygon_points(k)
-    return CycleEmbedding(len(labels), tuple(poly[i] for i in labels))
+    return CycleEmbedding(len(labels), tuple(poly[i] for i in labels), 10**POLYGON_DIGITS)
 
 
 DRAWINGS = {
@@ -49,11 +47,11 @@ DRAWINGS = {
 }
 
 REPORTS = {
-    "triple_point": DegeneracyReport(triple_points=((P(0, 0), (0, 2, 4)),)),
+    "triple_point": DegeneracyReport(triple_points=(((0, 0, 1), (0, 2, 4)),)),
     "two_triple_points": DegeneracyReport(
         triple_points=(
-            (Point(Fraction(2), Fraction(3, 2)), (1, 4, 7)),
-            (Point(Fraction(7, 2), Fraction(5, 2)), (0, 2, 5)),
+            ((4, 3, 2), (1, 4, 7)),
+            ((7, 5, 2), (0, 2, 5)),
         )
     ),
     "corner_incidence": DegeneracyReport(corner_incidences=((3, 0),)),

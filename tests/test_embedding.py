@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from cycleregions import embedding, formulas
 from cycleregions.arrangement import build_arrangement
 from cycleregions.embedding import (
     PERTURB_RETRIES,
+    POLYGON_DIGITS,
     CycleEmbedding,
     DegeneracyReport,
     PerturbationFailed,
@@ -22,33 +24,35 @@ from cycleregions.embedding import (
     validate_general_position,
 )
 from cycleregions.formulas import InvalidN
-from cycleregions.geometry import Point
+from cycleregions.geometry import Point, corner_points
+
+UNIT = 10**POLYGON_DIGITS
 
 
 def P(x, y):
-    return Point(Fraction(x), Fraction(y))
+    return (x, y)
 
 
 def hexagon_star():
     """Regular hexagon visited in star order: the three long diagonals
     run through the origin exactly, a genuine triple point."""
     poly = regular_polygon_points(6)
-    return CycleEmbedding(6, tuple(poly[i] for i in (0, 3, 1, 4, 2, 5)))
+    return CycleEmbedding(6, tuple(poly[i] for i in (0, 3, 1, 4, 2, 5)), UNIT)
 
 
 class TestRegularPolygonPoints:
     def test_square_is_exact(self):
         # cos/sin of multiples of pi/2 round to exact unit values
         assert regular_polygon_points(4) == [
-            P(1, 0),
-            P(0, 1),
-            P(-1, 0),
-            P(0, -1),
+            P(UNIT, 0),
+            P(0, UNIT),
+            P(-UNIT, 0),
+            P(0, -UNIT),
         ]
 
     def test_points_lie_near_unit_circle(self):
-        for p in regular_polygon_points(11):
-            assert abs(p.x * p.x + p.y * p.y - 1) < Fraction(1, 10**11)
+        for x, y in regular_polygon_points(11):
+            assert abs(x * x + y * y - UNIT * UNIT) < UNIT * UNIT // 10**11
 
     def test_pairwise_distinct(self):
         for k in (3, 7, 12, 30):
@@ -91,12 +95,12 @@ class TestValidate:
         assert not report.is_empty()
         assert len(report.triple_points) == 1
         point, segs = report.triple_points[0]
-        assert point == P(0, 0)
+        assert point == (0, 0, 1)
         assert len(segs) == 3
 
     def test_coincident_corners_detected(self):
         sq = regular_polygon_points(4)
-        emb = CycleEmbedding(4, (sq[0], sq[1], sq[0], sq[3]))
+        emb = CycleEmbedding(4, (sq[0], sq[1], sq[0], sq[3]), UNIT)
         report = validate_general_position(emb)
         assert report.coincident_corners == ((0, 2),)
 
@@ -148,7 +152,7 @@ class TestPerturb:
         eps = Fraction(1, 500)
         emb = construct_odd(5)
         moved = perturb(emb, eps, seed=3)
-        for p, q in zip(emb.corners, moved.corners):
+        for p, q in zip(corner_points(emb), corner_points(moved)):
             assert (p.x - q.x) ** 2 + (p.y - q.y) ** 2 <= eps * eps
 
     def test_rejects_nonpositive_epsilon(self):
@@ -156,6 +160,25 @@ class TestPerturb:
             perturb(hexagon_star(), 0)
         with pytest.raises(ValueError):
             perturb(hexagon_star(), Fraction(-1, 10))
+
+    @pytest.mark.parametrize("eps", [-1, Fraction(0), 0.001, 1.0, True, "1/1000", None])
+    def test_rejects_any_epsilon_but_a_positive_int_or_rational(self, monkeypatch, eps):
+        # A float 0.001 would be its binary expansion
+        # 1152921504606847/2**60, and True would be read as 1.
+        monkeypatch.setattr(embedding, "validate_general_position", None)  # no attempt runs
+        message = f"epsilon must be a positive int or rational, got {eps!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            perturb(hexagon_star(), eps)
+
+    def test_takes_an_int_or_a_fraction(self):
+        # Epsilon 1 on the drawing scaled by 1000 is epsilon 1/1000 on the
+        # drawing itself: the same offsets, and so the same repaired drawing.
+        def scaled(emb):
+            return CycleEmbedding(emb.n, ((1000 * x, 1000 * y) for x, y in emb.corners), emb.den)
+
+        star = CycleEmbedding(6, ((0, 0), (4, 4), (4, 0), (0, 4), (2, 0), (2, 4)))
+        fixed = perturb(star, Fraction(1, 1000), seed=2)
+        assert perturb(scaled(star), 1, seed=2) == scaled(fixed) != scaled(star)
 
     def test_exhausted_retries_raise(self, monkeypatch):
         attempts = []
@@ -288,9 +311,7 @@ class TestFileFormat:
             assert format_embedding(parse_embedding(text)) == text
 
     def test_format_shape(self):
-        emb = CycleEmbedding(
-            3, (P(0, 0), Point(Fraction(-3, 7), Fraction(1, 2)), P(1, 0))
-        )
+        emb = CycleEmbedding(3, (P(0, 0), P(-6, 7), P(14, 0)), 14)
         text = format_embedding(emb)
         assert text.splitlines() == [
             "n 3",
@@ -336,7 +357,7 @@ class TestFileFormat:
 
     def test_coordinate_grammar_edges_accepted(self):
         emb = parse_embedding("n 3\ncorner -0/1 07/014\ncorner 1/1 0/1\ncorner 0/1 1/1\n")
-        assert emb.corners[0] == Point(Fraction(0), Fraction(1, 2))
+        assert corner_points(emb)[0] == Point(Fraction(0), Fraction(1, 2))
 
     def test_blank_lines_ignored(self):
         emb = construct(5)

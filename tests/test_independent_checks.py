@@ -11,6 +11,7 @@ grid, and a face walk that orders each vertex's neighbours by exact angle.
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 from cycleregions.arrangement import build_arrangement, region_count_traversal
 from cycleregions.embedding import (
+    POLYGON_DIGITS,
     CycleEmbedding,
     DegeneracyReport,
     construct,
@@ -32,6 +34,7 @@ from cycleregions.geometry import (
     IntersectionKind,
     Point,
     Segment,
+    corner_points,
     point_on_segment,
     segment_intersection,
     sort_points_along,
@@ -42,7 +45,8 @@ from cycleregions.search import _crossing_count
 def segments(emb):
     """The drawing's segments as records; segment i, from corner i to
     corner i+1, is at index i."""
-    return [Segment(p, q) for p, q in zip(emb.corners, emb.corners[1:] + emb.corners[:1])]
+    corners = corner_points(emb)
+    return [Segment(p, q) for p, q in zip(corners, corners[1:] + corners[:1])]
 
 
 def _ccw_key(base, pts):
@@ -105,7 +109,7 @@ def reference_report(emb):
     """The DegeneracyReport rebuilt pair by pair from the Fraction
     predicates, in the pair table's order."""
     n = emb.n
-    corners = emb.corners
+    corners = corner_points(emb)
     coincident = tuple(
         (i, j) for i in range(n) for j in range(i + 1, n) if corners[i] == corners[j]
     )
@@ -130,11 +134,18 @@ def reference_report(emb):
             elif hit.kind is IntersectionKind.PROPER_CROSSING:
                 at.setdefault(hit.point, set()).update((i, j))
     triples = tuple(
-        (p, tuple(sorted(ids)))
+        (exact(p), tuple(sorted(ids)))
         for p, ids in sorted(at.items(), key=lambda kv: (kv[0].x, kv[0].y))
         if len(ids) >= 3
     )
     return DegeneracyReport(triples, incidences, tuple(overlaps), coincident)
+
+
+def exact(p):
+    """The point as the integers (x, y, d) in lowest terms, d > 0, of
+    (x / d, y / d), the form of a triple point in a DegeneracyReport."""
+    d = math.lcm(p.x.denominator, p.y.denominator)
+    return int(p.x * d), int(p.y * d), d
 
 
 @pytest.mark.parametrize("n", range(3, 31))
@@ -145,7 +156,8 @@ def test_construction_matches_geometry_free_count(n):
     # connections cross exactly when their endpoints interleave.
     emb = construct(n)
     poly = regular_polygon_points(n if n % 2 else n + 1)
-    vertex = [poly.index(p) for p in emb.corners]
+    scale = 10**POLYGON_DIGITS // emb.den
+    vertex = [poly.index((x * scale, y * scale)) for x, y in emb.corners]
     rank = {v: r for r, v in enumerate(sorted(vertex))}
     order = [rank[v] for v in vertex]
     assert 1 + _crossing_count(order) == build_arrangement(emb).face_count == f_max(n)
@@ -169,7 +181,7 @@ def test_face_walk_matches_angle_sorted_walk_on_constructions(n):
     )
 )
 def test_face_walk_matches_angle_sorted_walk_on_random_drawings(xys):
-    emb = CycleEmbedding(len(xys), tuple(Point(x, y) for x, y in xys))
+    emb = CycleEmbedding(len(xys), xys)
     assume(validate_general_position(emb).is_empty())
     assert region_count_traversal(emb) == reference_region_count(emb)
 
@@ -179,7 +191,7 @@ def test_face_walk_matches_euler_on_small_grid_drawings(size, checked):
     # Euler's count reads no crossing sign, while the face walk turns by
     # them. On a 0..size grid many orientation values are exactly 1, which
     # the 0..1000 drawings above seldom give.
-    grid = [Point(x, y) for x in range(size + 1) for y in range(size + 1)]
+    grid = [(x, y) for x in range(size + 1) for y in range(size + 1)]
     rng = random.Random(size)
     drawings = 0
     mismatches = []
@@ -195,7 +207,7 @@ def test_face_walk_matches_euler_on_small_grid_drawings(size, checked):
     assert not mismatches, f"{len(mismatches)} drawings differ, first {mismatches[0]}"
 
 
-grid_point = st.builds(Point, st.integers(0, 4), st.integers(0, 4))
+grid_point = st.tuples(st.integers(0, 4), st.integers(0, 4))
 
 
 @st.composite
@@ -219,16 +231,16 @@ rational_point = st.one_of(
 @st.composite
 def rational_embeddings(draw):
     n = draw(st.integers(3, 7))
-    return CycleEmbedding(n, tuple(draw(st.lists(rational_point, min_size=n, max_size=n))))
+    pts = draw(st.lists(rational_point, min_size=n, max_size=n))
+    den = math.lcm(*(c.denominator for p in pts for c in p))
+    return CycleEmbedding(n, ((int(p.x * den), int(p.y * den)) for p in pts), den)
 
 
 # Segments 0 and 4 lie on one line with a gap between them, a case the
 # random drawings seldom hit.
 GAPPED_COLLINEAR = CycleEmbedding(
     8,
-    tuple(
-        Point(x, y) for x, y in [(0, 0), (1, 0), (1, 1), (2, 1), (2, 0), (3, 0), (3, 2), (0, 2)]
-    ),
+    ((0, 0), (1, 0), (1, 1), (2, 1), (2, 0), (3, 0), (3, 2), (0, 2)),
 )
 
 
@@ -304,7 +316,7 @@ def test_table_matches_pairwise_classification_on_every_grid_4_cycle():
     # overlap or abut, which random drawings seldom hit. Two disjoint
     # collinear segments do not fit on a line of three grid points; that
     # gap case is the GAPPED_COLLINEAR example.
-    grid = [Point(x, y) for x in range(3) for y in range(3)]
+    grid = [(x, y) for x in range(3) for y in range(3)]
     drawings = 0
     mismatches = []
     for corners in itertools.product(grid, repeat=4):

@@ -188,16 +188,52 @@ def test_import_loads_a_layer_only_on_first_use():
     assert {m for m in loaded if m.startswith("cycleregions.")} == {"cycleregions.formulas"}
 
 
-def test_point_loads_embedding_but_not_the_predicates():
+def test_point_loads_the_reference_layer():
+    # A Point is exact Fraction coordinates, which no command needs.
     loaded = loaded_after("import cycleregions\ncycleregions.Point")
-    assert "cycleregions.embedding" in loaded
-    assert "cycleregions.geometry" not in loaded
+    assert {"cycleregions.geometry", "fractions"} <= loaded
 
 
-def test_geometry_reexports_the_embedding_records():
+def test_embedding_defines_no_point():
     from cycleregions import embedding, geometry
 
-    assert geometry.Point is embedding.Point
+    assert not hasattr(embedding, "Point")
+    assert cycleregions.Point is geometry.Point
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--n", "7", "--out", "{dir}/new.txt"],
+        ["count", "{dir}/c6.txt"],
+        ["render", "{dir}/c6.txt", "--highlight-splitters", "--shade-regions", "--out", "{dir}/c6.svg"],
+        ["verify"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_geometry_commands_load_no_rational_arithmetic(tmp_path, argv):
+    # A drawing is integer corners over one denominator; importing
+    # fractions, with decimal and numbers, would cost more than the work.
+    cycleregions.save_embedding(cycleregions.construct(6), str(tmp_path / "c6.txt"))
+    loaded = loaded_after(RUN_CLI, *(arg.format(dir=tmp_path) for arg in argv))
+    assert "cycleregions.embedding" in loaded
+    assert loaded.isdisjoint(["fractions", "decimal", "_decimal", "numbers"])
+
+
+def test_triple_point_report_loads_no_rational_arithmetic(tmp_path):
+    # Segments 0, 2 and 4 of this star meet at (2, 2).
+    star = tmp_path / "star.txt"
+    star.write_text(
+        "n 6\ncorner 0/1 0/1\ncorner 4/1 4/1\ncorner 4/1 0/1\n"
+        "corner 0/1 4/1\ncorner 2/1 0/1\ncorner 2/1 4/1\n"
+    )
+    script = (
+        "import contextlib, io, sys\nimport cycleregions.cli as cli\nerr = io.StringIO()\n"
+        "with contextlib.redirect_stderr(err):\n    code = cli.main(sys.argv[1:])\n"
+        "assert code == 4, code\nassert '1 triple point(s)' in err.getvalue(), err.getvalue()"
+    )
+    loaded = loaded_after(script, "count", str(star))
+    assert loaded.isdisjoint(["fractions", "decimal", "_decimal", "numbers"])
 
 
 def test_all_is_unchanged():

@@ -4,7 +4,7 @@ degenerate exactly when the drawing's report is not empty."""
 import itertools
 import random
 
-from cycleregions.embedding import CycleEmbedding, Point, pair_table, validate_general_position
+from cycleregions.embedding import CycleEmbedding, pair_table, validate_general_position
 from cycleregions.pairs import classify_pairs
 
 GRID = [(x, y) for x in range(3) for y in range(3)]
@@ -23,7 +23,7 @@ def grid_drawings():
 def test_classes_are_the_pair_table_of_the_drawing():
     for corners in grid_drawings():
         pairs = classify_pairs(corners)
-        emb = CycleEmbedding(len(corners), (Point(x, y) for x, y in corners))
+        emb = CycleEmbedding(len(corners), corners)
         assert pair_table(emb) == pairs, corners
         report = validate_general_position(emb)
         assert bool(pairs.ties) == bool(report.triple_points), corners

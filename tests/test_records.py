@@ -15,7 +15,13 @@ from cycleregions.embedding import (
     pair_table,
 )
 from cycleregions.formulas import InvalidN
-from cycleregions.geometry import IntersectionKind, Point, Segment, segment_intersection
+from cycleregions.geometry import (
+    IntersectionKind,
+    Point,
+    Segment,
+    corner_points,
+    segment_intersection,
+)
 from cycleregions.pairs import PairClasses
 from cycleregions.render import RenderOptions
 
@@ -35,15 +41,28 @@ def test_segment_rejects_coincident_endpoints():
 
 
 def test_cycle_embedding_rejects_bad_input():
-    corners = [Point(0, 0), Point(1, 0), Point(0, 1)]
+    corners = [(0, 0), (1, 0), (0, 1)]
     with pytest.raises(InvalidN):
         CycleEmbedding(2, corners[:2])
     with pytest.raises(ValueError, match="expected 4 corners, got 3"):
         CycleEmbedding(4, corners)
     emb = CycleEmbedding(3, corners)
     assert emb.corners == tuple(corners)  # any iterable becomes a tuple
-    n, got = emb
-    assert (n, got) == (3, tuple(corners))
+    n, got, den = emb
+    assert (n, got, den) == (3, tuple(corners), 1)
+
+
+def test_cycle_embedding_is_canonical():
+    # A factor shared by the denominator and every coordinate is divided
+    # out, so one drawing has one record whatever its spelling.
+    emb = CycleEmbedding(3, [(2, 4), (6, 0), (0, -2)], 4)
+    assert emb == (3, ((1, 2), (3, 0), (0, -1)), 2)
+    assert CycleEmbedding(3, [(0, 0), (0, 0), (0, 0)], 7).den == 1
+    for den in (0, -2, 2.0, True):
+        with pytest.raises(ValueError, match="denominator must be"):
+            CycleEmbedding(3, [(0, 0), (1, 0), (0, 1)], den)
+    with pytest.raises(TypeError):
+        CycleEmbedding(3, [(Fraction(1, 2), 0), (1, 0), (0, 1)])
 
 
 def test_defaults_are_kept():
@@ -67,7 +86,8 @@ def test_arrangement_vertices_are_the_pairwise_crossings(n):
     emb = construct(n)
     arr = build_arrangement(emb)
     table = pair_table(emb)
-    segments = [Segment(p, q) for p, q in zip(emb.corners, emb.corners[1:] + emb.corners[:1])]
+    corners = corner_points(emb)
+    segments = [Segment(p, q) for p, q in zip(corners, corners[1:] + corners[:1])]
     pairs, points = [], set()
     for (i, s1), (j, s2) in itertools.combinations(enumerate(segments), 2):
         hit = segment_intersection(s1, s2)

@@ -1,4 +1,6 @@
+import re
 import xml.etree.ElementTree as ET
+from fractions import Fraction
 
 import pytest
 
@@ -37,6 +39,18 @@ def test_rejects_a_size_that_is_not_positive(size, shown):
     # A zero or negative viewBox side is an SVG error.
     opts = RenderOptions(width=size[0], height=size[1])
     with pytest.raises(ValueError, match=f"render size must be positive, got {shown}"):
+        to_svg(construct_odd(5), opts)
+
+
+@pytest.mark.parametrize(
+    "size,shown",
+    [((640.5, 640), "640.5x640"), ((640, Fraction(1281, 2)), "640xFraction(1281, 2)"), ((True, 9), "Truex9")],
+)
+def test_rejects_a_size_that_is_not_an_int(size, shown):
+    # The screen coordinates are exact integer ratios; a float side would
+    # round them early, and True would print as a width.
+    opts = RenderOptions(width=size[0], height=size[1])
+    with pytest.raises(BadInput, match=re.escape(f"render size must be integers, got {shown}")):
         to_svg(construct_odd(5), opts)
 
 

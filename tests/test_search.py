@@ -15,6 +15,7 @@ from cycleregions.arrangement import (
     region_count_traversal,
 )
 from cycleregions.embedding import (
+    POLYGON_DIGITS,
     CycleEmbedding,
     construction_order,
     format_embedding,
@@ -68,7 +69,7 @@ def realize_on_circle(order):
     given cycle order; nudge into general position if needed."""
     n = len(order)
     poly = regular_polygon_points(n)
-    emb = CycleEmbedding(n, tuple(poly[lbl] for lbl in order))
+    emb = CycleEmbedding(n, tuple(poly[lbl] for lbl in order), 10**POLYGON_DIGITS)
     if not validate_general_position(emb).is_empty():
         emb = perturb(emb, Fraction(1, 10**4), seed=0)
     return emb
