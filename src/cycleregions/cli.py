@@ -206,32 +206,17 @@ def cmd_search(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from .embedding import load_embedding
     from .render import RenderOptions, check_color, check_size, to_svg
 
-    check_size(args.width, args.height)
-    # Checked here, by flag name, before the file is read. Only the colors
-    # given are passed on; RenderOptions owns the defaults.
-    colors = {}
-    for flag, name in (
-        ("--stroke", "stroke"),
-        ("--splitter-stroke", "splitter_stroke"),
-        ("--fill", "fill"),
-    ):
-        color = getattr(args, name)
-        if color is not None:
-            check_color(color, flag)
-            colors[name] = color
-    from .embedding import load_embedding
-
+    # The render options are RenderOptions' fields by name, defaults
+    # included. Each is checked here, a colour under its flag's name,
+    # before the file is read.
+    opts = RenderOptions(**{name: getattr(args, name) for name in RenderOptions._fields})
+    check_size(opts.width, opts.height)
+    for name in ("stroke", "splitter_stroke", "fill"):
+        check_color(getattr(opts, name), "--" + name.replace("_", "-"))
     emb = load_embedding(args.path)
-    opts = RenderOptions(
-        width=args.width,
-        height=args.height,
-        label_corners=args.label_corners,
-        highlight_splitters=args.highlight_splitters,
-        shade_regions=args.shade_regions,
-        **colors,
-    )
     svg = to_svg(emb, opts)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
@@ -317,9 +302,9 @@ COMMANDS = {
             Option("--label-corners", bool, True, "draw corner indices"),
             Option("--highlight-splitters", bool, False, "stroke splitters in their own colour"),
             Option("--shade-regions", bool, False, "fill the bounded regions"),
-            Option("--stroke", str, None, "segment and corner colour (default #1f3a5f)"),
-            Option("--splitter-stroke", str, None, "splitter colour (default #c0392b)"),
-            Option("--fill", str, None, "region fill colour (default #f2d9a0)"),
+            Option("--stroke", str, "#1f3a5f", "segment and corner colour"),
+            Option("--splitter-stroke", str, "#c0392b", "splitter colour"),
+            Option("--fill", str, "#f2d9a0", "region fill colour"),
         ),
     ),
 }

@@ -177,7 +177,7 @@ def validate_general_position(emb: CycleEmbedding) -> DegeneracyReport:
 def perturb(emb: CycleEmbedding, epsilon, seed: int = 0) -> CycleEmbedding:
     """Displace every corner by a deterministic seeded rational offset of
     magnitude at most epsilon, retrying with fresh offsets until the result
-    is in general position.
+    is in general position, that is, until its pair table is not `degenerate`.
 
     Identical (emb, epsilon, seed) always yields the identical embedding.
     Raises PerturbationFailed after PERTURB_RETRIES failed attempts, and
@@ -200,7 +200,7 @@ def perturb(emb: CycleEmbedding, epsilon, seed: int = 0) -> CycleEmbedding:
             for x, y in emb.corners
         ]
         candidate = CycleEmbedding(emb.n, moved, emb.den * unit)
-        if validate_general_position(candidate).is_empty():
+        if not pair_table(candidate).degenerate:
             return candidate
     raise PerturbationFailed(
         f"no general-position embedding within {PERTURB_RETRIES} attempts "
@@ -237,7 +237,8 @@ def _place(n: int) -> CycleEmbedding:
 
 def construct(n: int, seed: int = 0) -> CycleEmbedding:
     """Maximal embedding for any n >= 3: `construction_order(n)` on a
-    regular polygon, perturbed only if that placement is degenerate.
+    regular polygon, perturbed only if that placement's pair table is
+    `degenerate`.
 
     The corners are in convex position, so the region count is 1 plus the
     order's crossings. ConstructionCheckFailed is raised unless the
@@ -248,7 +249,7 @@ def construct(n: int, seed: int = 0) -> CycleEmbedding:
     """
     emb = _place(n)
     check_count(seed, "seed", 0)
-    if not validate_general_position(emb).is_empty():
+    if pair_table(emb).degenerate:
         emb = perturb(emb, PERTURB_EPSILON, seed)
     table = pair_table(emb)
     got = (len(table.signs), table.splitter_count, table.one_off_count)

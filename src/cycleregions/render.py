@@ -44,8 +44,10 @@ def check_size(width: int, height: int) -> None:
 
 
 def check_color(color: str, name: str) -> None:
-    """Raise BadInput unless the colour `name` is ASCII without " ' < > &:
-    colours land in SVG attribute values unescaped."""
+    """Raise BadInput unless the colour `name` is a str, ASCII and without
+    any of " ' < > &: colours land in SVG attribute values unescaped."""
+    if type(color) is not str:
+        raise BadInput(f"{name} must be a string, got {color!r}")
     if not color.isascii() or any(ch in color for ch in "\"'<>&"):
         raise BadInput(
             f"{name} must not contain non-ASCII characters or any of \" ' < > &, got {color!r}"

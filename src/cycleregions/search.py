@@ -11,15 +11,16 @@ also covers.
 A random placement has integer corners, and in general position it
 encloses crossings + 1 regions, so the probes count regions and
 splitters with `pairs.classify_pairs` alone. Only the repair of a
-degenerate draw by `embedding.perturb`, and the `CycleEmbedding` that
-`random_search` returns, load `embedding`; the splitter bound never does.
-The probes import `pairs` when they run, so the oracle loads neither.
+degenerate draw by `embedding.perturb`, which runs once per draw, and the
+`CycleEmbedding` that `random_search` returns, load `embedding`; the
+splitter bound never does. The probes import `pairs` when they run, so
+the oracle loads neither.
 """
 
 import bisect
 import math
 import random
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .formulas import (
     ORACLE_MAX_N, InvalidN, NTooLarge, check_count, check_n, construction_order,
@@ -232,28 +233,21 @@ def _random_cycle_order(rng: random.Random, n: int) -> tuple[int, ...]:
     return tuple([0] + rng.sample(range(1, n), n - 1))
 
 
-def _drawing(corners: tuple[tuple[int, int], ...], repair_seed: Optional[int]) -> "CycleEmbedding":
-    """The integer corners as a CycleEmbedding, nudged into general position
-    by `perturb(drawing, 1, repair_seed)` unless repair_seed is None."""
-    from .embedding import CycleEmbedding, perturb
-
-    emb = CycleEmbedding(len(corners), corners)
-    return emb if repair_seed is None else perturb(emb, 1, repair_seed)
-
-
 def best_region_count(
     n: int, trials: int, seed: int = 0
-) -> tuple[int, tuple[tuple[int, int], ...], Optional[int]]:
+) -> tuple[int, tuple[tuple[int, int], ...], int]:
     """Probe `trials` seeded random placements, counting regions for the
     fixed order 0..n-1 and for one random cycle order per placement, and
-    return the best count, that draw's integer corners in cycle order, and
-    the seed that repaired it, or None if it needed no repair.
+    return the best count with the drawing it counted: its integer corners
+    in cycle order and their denominator.
 
     A general-position draw encloses crossings + 1 regions, read from its
-    `classify_pairs` in integers. A degenerate draw is nudged into general
-    position by `_drawing`, which loads `embedding`, and counted from its
-    pair table. Deterministic for identical (n, trials, seed);
-    trials below 1, a seed below 0, or either not an int raises ValueError.
+    `classify_pairs` in integers, and its denominator is 1. A degenerate
+    draw is repaired once, by `embedding.perturb`, which loads `embedding`;
+    it is counted from the repaired drawing's pair table, and those are the
+    corners and denominator returned. Deterministic for identical
+    (n, trials, seed); trials below 1, a seed below 0, or either not an
+    int raises ValueError.
     """
     check_n(n)
     check_count(trials, "trials", 1)
@@ -261,7 +255,7 @@ def best_region_count(
     from .pairs import classify_pairs
 
     rng = random.Random(seed)
-    best = (-1, (), None)
+    best = (-1, (), 1)
     identity = tuple(range(n))
     for trial in range(trials):
         pts = _random_corners(rng, n)
@@ -269,27 +263,29 @@ def best_region_count(
             corners = tuple(pts[lbl] for lbl in order)
             repair_seed = rng.getrandbits(32)
             pairs = classify_pairs(corners)
-            degenerate = pairs.degenerate
-            if degenerate:
-                from .embedding import pair_table
+            den = 1
+            if pairs.degenerate:
+                from .embedding import CycleEmbedding, pair_table, perturb
 
-                count = len(pair_table(_drawing(corners, repair_seed)).signs) + 1
-            else:
-                count = len(pairs.signs) + 1
+                emb = perturb(CycleEmbedding(n, corners), 1, repair_seed)
+                corners, den, pairs = emb.corners, emb.den, pair_table(emb)
+            count = len(pairs.signs) + 1
             if count > best[0]:
-                best = (count, corners, repair_seed if degenerate else None)
+                best = (count, corners, den)
     return best
 
 
 def random_search(n: int, trials: int, seed: int = 0) -> "tuple[int, CycleEmbedding]":
-    """`best_region_count(n, trials, seed)` with the best draw as a
-    CycleEmbedding, repaired as it was when counted.
+    """`best_region_count(n, trials, seed)` with the drawing it counted as
+    a CycleEmbedding, so a repaired draw is not repaired again.
 
     Deterministic for identical (n, trials, seed); trials below 1, a seed
     below 0, or either not an int raises ValueError.
     """
-    best, corners, repair_seed = best_region_count(n, trials, seed)
-    return best, _drawing(corners, repair_seed)
+    best, corners, den = best_region_count(n, trials, seed)
+    from .embedding import CycleEmbedding
+
+    return best, CycleEmbedding(n, corners, den)
 
 
 def splitter_bound_check(n: int, trials: int, seed: int = 0) -> int:

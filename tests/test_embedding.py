@@ -9,7 +9,6 @@ from cycleregions.embedding import (
     PERTURB_RETRIES,
     POLYGON_DIGITS,
     CycleEmbedding,
-    DegeneracyReport,
     PerturbationFailed,
     _place,
     construct,
@@ -165,7 +164,7 @@ class TestPerturb:
     def test_rejects_any_epsilon_but_a_positive_int_or_rational(self, monkeypatch, eps):
         # A float 0.001 would be its binary expansion
         # 1152921504606847/2**60, and True would be read as 1.
-        monkeypatch.setattr(embedding, "validate_general_position", None)  # no attempt runs
+        monkeypatch.setattr(embedding, "pair_table", None)  # no attempt runs
         message = f"epsilon must be a positive int or rational, got {eps!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             perturb(hexagon_star(), eps)
@@ -182,12 +181,14 @@ class TestPerturb:
 
     def test_exhausted_retries_raise(self, monkeypatch):
         attempts = []
+        star_table = embedding.pair_table(hexagon_star())
+        assert star_table.degenerate
 
         def never_general(emb):
             attempts.append(emb)
-            return DegeneracyReport(coincident_corners=((0, 2),))
+            return star_table
 
-        monkeypatch.setattr(embedding, "validate_general_position", never_general)
+        monkeypatch.setattr(embedding, "pair_table", never_general)
         with pytest.raises(PerturbationFailed, match=f"within {PERTURB_RETRIES} attempts"):
             perturb(hexagon_star(), Fraction(1, 1000), seed=0)
         assert len(attempts) == PERTURB_RETRIES

@@ -73,6 +73,15 @@ def test_rejects_a_color_that_would_leave_its_attribute(field, color):
         to_svg(construct_odd(5), opts)
 
 
+@pytest.mark.parametrize("field,color", [("fill", None), ("stroke", 123), ("splitter_stroke", b"red")])
+def test_rejects_a_color_that_is_not_a_string(field, color):
+    # Without the check these end the render in an AttributeError or a
+    # TypeError instead of a refusal.
+    opts = RenderOptions(highlight_splitters=True, shade_regions=True)._replace(**{field: color})
+    with pytest.raises(BadInput, match=f"^{re.escape(f'{field} must be a string, got {color!r}')}$"):
+        to_svg(construct_odd(5), opts)
+
+
 def test_coordinates_use_six_fractional_digits():
     svg = to_svg(construct_odd(5))
     root = parsed(svg)

@@ -384,11 +384,23 @@ def test_a_draw_whose_only_fault_is_a_triple_point_is_repaired(monkeypatch):
     star = [(0, 0), (4, 4), (4, 0), (0, 4), (2, 0), (2, 4)]
     monkeypatch.setattr(search, "_random_corners", lambda rng, n: star)
     monkeypatch.setattr(search, "_random_cycle_order", lambda rng, n: tuple(range(n)))
-    best, corners, repair_seed = best_region_count(6, 1)
-    assert corners == tuple(star)
-    assert repair_seed is not None
+    best, corners, den = best_region_count(6, 1)
+    assert den > 1
+    repaired = CycleEmbedding(6, corners, den)
+    assert validate_general_position(repaired).is_empty()
+    # Both draws of the one trial are the star, and each is repaired once:
+    # random_search takes the drawing best_region_count counted.
+    repairs = []
+    true_perturb = embedding.perturb
+
+    def counted_perturb(*args):
+        repairs.append(args)
+        return true_perturb(*args)
+
+    monkeypatch.setattr(embedding, "perturb", counted_perturb)
     count, emb = random_search(6, 1)
-    assert validate_general_position(emb).is_empty()
+    assert len(repairs) == 2
+    assert emb == repaired
     assert count == best == region_count_traversal(emb)
 
 
