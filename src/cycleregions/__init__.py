@@ -52,7 +52,7 @@ _EXPORTS = {
     "segment_intersection": "geometry",
     "sort_points_along": "geometry",
     "splitter_analysis": "arrangement",
-    "splitter_bound_check": "search",
+    "splitter_bound_check": "probes",
     "to_svg": "render",
     "validate_general_position": "embedding",
 }

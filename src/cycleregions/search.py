@@ -1,36 +1,24 @@
-"""Independent checks on the region-count ceiling: an exact
-convex-position oracle and randomized geometric probing.
+"""The exact convex-position oracle, an independent check on the
+region-count ceiling.
 
 For corners in convex position the region count is fully combinatorial
 (1 + number of interleaving connection pairs), so n up to 19 is
 settled exactly by a branch and bound over cycle orders, pruned with the
-side-switch bound behind the Furry-Kleitman crossing maximum; random
-placements then probe the non-convex territory the closed-form ceiling
-also covers.
-
-A random placement has integer corners, and in general position it
-encloses crossings + 1 regions, so the probes count regions and
-splitters with `pairs.classify_pairs` alone. Only the repair of a
-degenerate draw by `embedding.perturb`, which runs once per draw, and the
-`CycleEmbedding` that `random_search` returns, load `embedding`; the
-splitter bound never does. The probes import `pairs` when they run, so
-the oracle loads neither.
+side-switch bound behind the Furry-Kleitman crossing maximum. The random
+placements that probe the non-convex territory the closed-form ceiling
+also covers are in `probes`; `random_search` imports it when it runs, so
+the oracle compiles none of the probe code and loads neither `random`
+nor `pairs`.
 """
 
 import bisect
 import math
-import random
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .formulas import (
-    ORACLE_MAX_N, InvalidN, NTooLarge, check_count, check_n, construction_order,
-    construction_splitters,
-)
+from .formulas import ORACLE_MAX_N, NTooLarge, check_n, construction_order
 
 if TYPE_CHECKING:
     from .embedding import CycleEmbedding
-
-COORD_RANGE = 10**6  # random placements draw integer grid coordinates here
 
 
 class _CyclicPermutationFields(NamedTuple):
@@ -217,64 +205,6 @@ def oracle_max_regions_convex(n: int) -> OracleResult:
     )
 
 
-def _random_corners(rng: random.Random, n: int) -> list[tuple[int, int]]:
-    corners: list[tuple[int, int]] = []
-    seen = set()
-    while len(corners) < n:
-        xy = (rng.randint(0, COORD_RANGE), rng.randint(0, COORD_RANGE))
-        if xy in seen:
-            continue
-        seen.add(xy)
-        corners.append(xy)
-    return corners
-
-
-def _random_cycle_order(rng: random.Random, n: int) -> tuple[int, ...]:
-    return tuple([0] + rng.sample(range(1, n), n - 1))
-
-
-def best_region_count(
-    n: int, trials: int, seed: int = 0
-) -> tuple[int, tuple[tuple[int, int], ...], int]:
-    """Probe `trials` seeded random placements, counting regions for the
-    fixed order 0..n-1 and for one random cycle order per placement, and
-    return the best count with the drawing it counted: its integer corners
-    in cycle order and their denominator.
-
-    A general-position draw encloses crossings + 1 regions, read from its
-    `classify_pairs` in integers, and its denominator is 1. A degenerate
-    draw is repaired once, by `embedding.perturb`, which loads `embedding`;
-    it is counted from the repaired drawing's pair table, and those are the
-    corners and denominator returned. Deterministic for identical
-    (n, trials, seed); trials below 1, a seed below 0, or either not an
-    int raises ValueError.
-    """
-    check_n(n)
-    check_count(trials, "trials", 1)
-    check_count(seed, "seed", 0)
-    from .pairs import classify_pairs
-
-    rng = random.Random(seed)
-    best = (-1, (), 1)
-    identity = tuple(range(n))
-    for trial in range(trials):
-        pts = _random_corners(rng, n)
-        for order in (identity, _random_cycle_order(rng, n)):
-            corners = tuple(pts[lbl] for lbl in order)
-            repair_seed = rng.getrandbits(32)
-            pairs = classify_pairs(corners)
-            den = 1
-            if pairs.degenerate:
-                from .embedding import CycleEmbedding, pair_table, perturb
-
-                emb = perturb(CycleEmbedding(n, corners), 1, repair_seed)
-                corners, den, pairs = emb.corners, emb.den, pair_table(emb)
-            count = len(pairs.signs) + 1
-            if count > best[0]:
-                best = (count, corners, den)
-    return best
-
-
 def random_search(n: int, trials: int, seed: int = 0) -> "tuple[int, CycleEmbedding]":
     """`best_region_count(n, trials, seed)` with the drawing it counted as
     a CycleEmbedding, so a repaired draw is not repaired again.
@@ -282,38 +212,9 @@ def random_search(n: int, trials: int, seed: int = 0) -> "tuple[int, CycleEmbedd
     Deterministic for identical (n, trials, seed); trials below 1, a seed
     below 0, or either not an int raises ValueError.
     """
+    from .probes import best_region_count
+
     best, corners, den = best_region_count(n, trials, seed)
     from .embedding import CycleEmbedding
 
     return best, CycleEmbedding(n, corners, den)
-
-
-def splitter_bound_check(n: int, trials: int, seed: int = 0) -> int:
-    """Maximum splitter count observed over the even-n construction plus
-    `trials` random placements with random cycle orders.
-
-    For even n no embedding has more than two splitters; this returns the
-    largest count seen so the caller can assert the bound. The construction
-    counts as `construction_splitters(n)[0]`, the value `construct`'s
-    post-check holds it to, so only the random draws are classified, each
-    by `classify_pairs` in integers. trials and seed must be ints of at
-    least 0, or ValueError is raised.
-    """
-    check_n(n)
-    if n % 2 == 1:
-        raise InvalidN(f"splitter bound applies to even n >= 4, got {n}")
-    check_count(trials, "trials", 0)
-    check_count(seed, "seed", 0)
-    from .pairs import classify_pairs
-
-    best = construction_splitters(n)[0]
-    rng = random.Random(seed)
-    for trial in range(trials):
-        pts = _random_corners(rng, n)
-        order = _random_cycle_order(rng, n)
-        pairs = classify_pairs(tuple(pts[lbl] for lbl in order))
-        # The corners are distinct, so meets is never None.
-        if pairs.overlaps:
-            continue  # collinear overlap: vanishing probability, skip the draw
-        best = max(best, pairs.splitter_count)
-    return best

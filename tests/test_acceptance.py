@@ -13,7 +13,7 @@ from cycleregions.arrangement import (
     region_count_traversal,
     splitter_analysis,
 )
-from cycleregions.cli import verify_rows
+from cycleregions.commands.verify import verify_rows
 from cycleregions.embedding import (
     CycleEmbedding,
     PERTURB_RETRIES,
@@ -28,11 +28,8 @@ from cycleregions.embedding import (
 )
 from cycleregions.formulas import f_max, predicted_edges, predicted_vertices
 from cycleregions.render import RenderOptions, to_svg
-from cycleregions.search import (
-    oracle_max_regions_convex,
-    random_search,
-    splitter_bound_check,
-)
+from cycleregions.probes import splitter_bound_check
+from cycleregions.search import oracle_max_regions_convex, random_search
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -134,7 +134,7 @@ def test_splitter_bound_check_loads_no_rational_layer():
     # The construction's splitters are a closed form and the random draws
     # are integer, so nothing builds a CycleEmbedding.
     loaded = loaded_after(
-        "from cycleregions.search import splitter_bound_check\n"
+        "from cycleregions.probes import splitter_bound_check\n"
         "assert splitter_bound_check(8, 5, 1) == 2"
     )
     assert "cycleregions.pairs" in loaded
@@ -142,16 +142,75 @@ def test_splitter_bound_check_loads_no_rational_layer():
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["search", "--n", "8", "--trials", "0"], ["oracle", "--n", "20"]],
+    "argv,reached",
+    [(["search", "--n", "8", "--trials", "0"], "probes"), (["oracle", "--n", "20"], "search")],
     ids=["search", "oracle"],
 )
-def test_failed_command_loads_no_geometry_layer(argv):
+def test_failed_command_loads_no_geometry_layer(argv, reached):
     # Every exception class of the error contract lives in formulas, which
     # every command loads, so reporting a failure imports nothing more.
     loaded = loaded_after(cli_script(2), *argv)
-    assert "cycleregions.search" in loaded  # the command did run
+    assert f"cycleregions.{reached}" in loaded  # the command did run
     assert loaded.isdisjoint(LAYERS + ["cycleregions.pairs", "fractions", "decimal"])
+
+
+# Every command loads cli, formulas and commands, then its own handler
+# module and the layers that handler runs; only --help loads usage.
+EVERY_COMMAND = {"cli", "formulas", "commands"}
+COMMAND_MODULES = {
+    "construct": (["construct", "--n", "6", "--out", "{dir}/new.txt"], 0,
+                  {"commands.construct", "embedding", "pairs", "arrangement"}),
+    "count": (["count", "{dir}/c6.txt"], 0, {"commands.count", "embedding", "pairs", "arrangement"}),
+    "render": (["render", "{dir}/c6.txt", "--out", "{dir}/c6.svg"], 0,
+               {"commands.render", "embedding", "pairs", "arrangement", "render"}),
+    "verify": (["verify", "--n-max", "6"], 0,
+               {"commands.verify", "commands.count", "embedding", "pairs", "arrangement"}),
+    "oracle": (["oracle", "--n", "6"], 0, {"commands.oracle", "search"}),
+    "search": (["search", "--n", "8", "--trials", "2"], 0, {"commands.search", "probes", "pairs"}),
+    "failed-search": (["search", "--n", "8", "--trials", "0"], 2, {"commands.search", "probes"}),
+    "help": (["--help"], 0, {"usage"}),
+    "render-help": (["render", "--help"], 0, {"usage"}),
+}
+
+
+@pytest.mark.parametrize(
+    "argv,code,own",
+    [pytest.param(*row, id=name) for name, row in COMMAND_MODULES.items()],
+)
+def test_each_command_loads_exactly_its_own_modules(tmp_path, argv, code, own):
+    # A process compiles every module it loads from source when no
+    # bytecode is cached, so each command is pinned to the handler and
+    # layers it runs: no other handler, the oracle only for `oracle`, the
+    # probes only for `search` and the help builder only for --help.
+    cycleregions.save_embedding(cycleregions.construct(6), str(tmp_path / "c6.txt"))
+    loaded = loaded_after(cli_script(code), *(arg.format(dir=tmp_path) for arg in argv))
+    package = {m.removeprefix("cycleregions.") for m in loaded if m.startswith("cycleregions.")}
+    assert package == EVERY_COMMAND | own
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [pytest.param(argv, code, id=name) for name, (argv, code, _) in COMMAND_MODULES.items()],
+)
+def test_module_entry_point_compiles_cli_once(tmp_path, argv, code):
+    # Under `python -m cycleregions.cli`, cli.py runs as __main__; a module
+    # that imported cycleregions.cli by name would compile and run it again.
+    cycleregions.save_embedding(cycleregions.construct(6), str(tmp_path / "c6.txt"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cycleregions.cli",
+         *(arg.format(dir=tmp_path) for arg in argv)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == code, proc.stderr
+    imported = [
+        line.rpartition("|")[2].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    ]
+    assert "cycleregions.formulas" in imported  # the trace does see the package
+    assert "cycleregions.cli" not in imported
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycleregions import embedding, pairs, search
+from cycleregions import embedding, pairs, probes, search
 from cycleregions.arrangement import (
     build_arrangement,
     region_count_euler,
@@ -32,13 +32,11 @@ from cycleregions.search import (
     _chord_cap,
     _chord_table,
     _crossing_count,
-    _random_corners,
-    best_region_count,
     crossing_count_convex,
     oracle_max_regions_convex,
     random_search,
-    splitter_bound_check,
 )
+from cycleregions.probes import _random_corners, best_region_count, splitter_bound_check
 
 
 def _canonical_orders(n):
@@ -325,7 +323,7 @@ class TestRandomSearch:
     def test_repairs_degenerate_draws_on_a_small_grid(self, n, monkeypatch):
         # On a 3x3 grid most draws have collinear corners, so most trials
         # also run the perturb repair.
-        monkeypatch.setattr(search, "COORD_RANGE", 2)
+        monkeypatch.setattr(probes, "COORD_RANGE", 2)
         calls = []
         true_perturb = embedding.perturb
 
@@ -348,7 +346,7 @@ def _probe_digest(monkeypatch, ns, result) -> str:
     along with the general-position count."""
     h = hashlib.sha256()
     for coord_range in (10**6, 2, 3):
-        monkeypatch.setattr(search, "COORD_RANGE", coord_range)
+        monkeypatch.setattr(probes, "COORD_RANGE", coord_range)
         for n in ns:
             for seed in (0, 1):
                 h.update(f"{result(n, seed)}\n".encode())
@@ -373,7 +371,7 @@ def test_splitter_bound_check_results_are_pinned(monkeypatch):
 @pytest.mark.parametrize("n", [4, 5, 8])
 def test_probe_count_is_what_both_counters_read(monkeypatch, coord_range, n):
     # The search counts crossings + 1 and never walks a face.
-    monkeypatch.setattr(search, "COORD_RANGE", coord_range)
+    monkeypatch.setattr(probes, "COORD_RANGE", coord_range)
     best, emb = random_search(n, 30, seed=n)
     assert best == region_count_euler(build_arrangement(emb)) == region_count_traversal(emb)
 
@@ -382,8 +380,8 @@ def test_a_draw_whose_only_fault_is_a_triple_point_is_repaired(monkeypatch):
     # Segments 0, 2 and 4 of this star meet at (2, 2); no corner lies on
     # another segment and no segments overlap.
     star = [(0, 0), (4, 4), (4, 0), (0, 4), (2, 0), (2, 4)]
-    monkeypatch.setattr(search, "_random_corners", lambda rng, n: star)
-    monkeypatch.setattr(search, "_random_cycle_order", lambda rng, n: tuple(range(n)))
+    monkeypatch.setattr(probes, "_random_corners", lambda rng, n: star)
+    monkeypatch.setattr(probes, "_random_cycle_order", lambda rng, n: tuple(range(n)))
     best, corners, den = best_region_count(6, 1)
     assert den > 1
     repaired = CycleEmbedding(6, corners, den)
@@ -407,7 +405,7 @@ def test_a_draw_whose_only_fault_is_a_triple_point_is_repaired(monkeypatch):
 def test_random_corners_skip_repeated_points(monkeypatch):
     # Nine distinct corners on a 3x3 grid take every point once, which
     # needs the draws that repeat a point to be skipped.
-    monkeypatch.setattr(search, "COORD_RANGE", 2)
+    monkeypatch.setattr(probes, "COORD_RANGE", 2)
     corners = _random_corners(random.Random(0), 9)
     assert sorted(corners) == [(x, y) for x in range(3) for y in range(3)]
 
@@ -424,7 +422,7 @@ class TestSplitterBound:
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_skips_degenerate_draws_on_a_small_grid(self, n, monkeypatch):
-        monkeypatch.setattr(search, "COORD_RANGE", 2)
+        monkeypatch.setattr(probes, "COORD_RANGE", 2)
         skipped = []
         true_classify = pairs.classify_pairs
 
