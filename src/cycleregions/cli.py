@@ -57,7 +57,7 @@ class Command(NamedTuple):
 
 
 FORMAT = Option("--format", ("human", "tsv"), "human", "output layout")
-SEED = Option("--seed", int, 0, "perturbation seed")
+SEED = Option("--seed", int, 0, "printed only; changes no result")
 
 COMMANDS = {
     "construct": Command(

@@ -10,7 +10,7 @@ def run(args) -> int:
     from ..arrangement import build_arrangement
     from ..embedding import construct, save_embedding
 
-    emb = construct(args.n, seed=args.seed)
+    emb = construct(args.n)
     save_embedding(emb, args.out)
     arr = build_arrangement(emb)
     emit(

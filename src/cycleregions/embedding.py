@@ -29,18 +29,6 @@ from .pairs import PairClasses, classify_pairs
 # Decimal digits of each unit-circle polygon coordinate.
 POLYGON_DIGITS = 12
 PERTURB_RETRIES = 64
-
-
-class _Ratio(NamedTuple):  # a rational epsilon for perturb, without fractions
-    numerator: int
-    denominator: int
-
-    def __str__(self) -> str:
-        return f"{self.numerator}/{self.denominator}"
-
-
-# Perturbation size for the constructions, whose circumradius is 1.
-PERTURB_EPSILON = _Ratio(1, 10_000)
 # Denominator bound for the random offsets drawn inside perturb().
 _OFFSET_GRID = 10**6
 # The file format's only spellings of a count and of a coordinate.
@@ -58,7 +46,8 @@ class CycleEmbedding(_CycleEmbeddingFields):
     """n corners in cycle order; segment i joins corner i to corner i+1
     (indices mod n). Corner k is (x / den, y / den) for (x, y) = corners[k].
     A factor that den shares with every coordinate is divided out, so den
-    is the lcm of the coordinates' lowest-terms denominators."""
+    is the lcm of the coordinates' lowest-terms denominators. A coordinate
+    that is not an int, or is a bool, raises BadInput."""
 
     __slots__ = ()
 
@@ -68,7 +57,11 @@ class CycleEmbedding(_CycleEmbeddingFields):
         corners = tuple((x, y) for x, y in corners)
         if len(corners) != n:
             raise ValueError(f"expected {n} corners, got {len(corners)}")
-        g = math.gcd(den, *(c for p in corners for c in p))
+        coords = [c for p in corners for c in p]
+        for c in coords:
+            if not isinstance(c, int) or isinstance(c, bool):
+                raise BadInput(f"corner coordinate must be an integer, got {c!r}")
+        g = math.gcd(den, *coords)
         if g > 1:
             den //= g
             corners = tuple((x // g, y // g) for x, y in corners)
@@ -235,44 +228,44 @@ def _place(n: int) -> CycleEmbedding:
     return CycleEmbedding(n, (poly[v] for v in order), 10**POLYGON_DIGITS)
 
 
-def construct(n: int, seed: int = 0) -> CycleEmbedding:
+def construct(n: int) -> CycleEmbedding:
     """Maximal embedding for any n >= 3: `construction_order(n)` on a
-    regular polygon, perturbed only if that placement's pair table is
-    `degenerate`.
+    regular polygon, checked and never repaired.
 
-    The corners are in convex position, so the region count is 1 plus the
-    order's crossings. ConstructionCheckFailed is raised unless the
-    result's pair table has max_crossings(n) crossings (so f(n) regions)
-    and the splitter classes `construction_splitters(n)`. An n that is not
-    an integer of at least 3 raises InvalidN; then a seed that is not an
-    int of at least 0 raises ValueError: random.Random seeds -s as s.
+    The polygon is the n-gon for odd n and the (n+1)-gon for even n. No
+    three diagonals of an odd regular polygon meet at an interior point
+    (B. Poonen and M. Rubinstein, SIAM J. Discrete Math. 11, 1998), but the
+    corners are rounded, so ConstructionCheckFailed is raised unless the
+    pair table is not `degenerate` and has max_crossings(n) crossings (so
+    f(n) regions, the corners being convex) and the splitter classes
+    `construction_splitters(n)`. An n that is not an integer of at least 3
+    raises InvalidN.
     """
     emb = _place(n)
-    check_count(seed, "seed", 0)
-    if pair_table(emb).degenerate:
-        emb = perturb(emb, PERTURB_EPSILON, seed)
     table = pair_table(emb)
-    got = (len(table.signs), table.splitter_count, table.one_off_count)
-    want = (max_crossings(n), *construction_splitters(n))
+    got = (table.degenerate, len(table.signs), table.splitter_count, table.one_off_count)
+    want = (False, max_crossings(n), *construction_splitters(n))
     if got != want:
-        raise ConstructionCheckFailed(f"n={n}: (crossings, splitters, one-offs) {got} != {want}")
+        raise ConstructionCheckFailed(
+            f"n={n}: (degenerate, crossings, splitters, one-offs) {got} != {want}"
+        )
     return emb
 
 
-def construct_odd(n: int, seed: int = 0) -> CycleEmbedding:
-    """construct(n, seed) for odd n >= 3."""
+def construct_odd(n: int) -> CycleEmbedding:
+    """construct(n) for odd n >= 3."""
     check_n(n)
     if n % 2 == 0:
         raise InvalidN(f"odd construction needs odd n >= 3, got {n}")
-    return construct(n, seed)
+    return construct(n)
 
 
-def construct_even(n: int, seed: int = 0) -> CycleEmbedding:
-    """construct(n, seed) for even n >= 4."""
+def construct_even(n: int) -> CycleEmbedding:
+    """construct(n) for even n >= 4."""
     check_n(n)
     if n % 2 == 1:
         raise InvalidN(f"even construction needs even n >= 4, got {n}")
-    return construct(n, seed)
+    return construct(n)
 
 
 def format_embedding(emb: CycleEmbedding) -> str:

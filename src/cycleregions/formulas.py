@@ -48,7 +48,7 @@ class PerturbationFailed(RuntimeError):
 
 
 class ConstructionCheckFailed(RuntimeError):
-    """A construction missed max_crossings(n) or its splitter classes."""
+    """A construction missed general position, max_crossings(n) or its splitter classes."""
 
 
 def check_n(n: int, name: str = "n") -> None:

@@ -143,7 +143,7 @@ def test_criterion_7_determinism_and_round_trips():
         text = format_embedding(emb)
         ok = ok and parse_embedding(text) == emb
         ok = ok and format_embedding(parse_embedding(text)) == text
-    ok = ok and verify_rows(3, 10, 0) == verify_rows(3, 10, 0)
+    ok = ok and verify_rows(3, 10) == verify_rows(3, 10)
     ok = ok and random_search(6, 50, seed=3) == random_search(6, 50, seed=3)
     opts = RenderOptions(highlight_splitters=True, shade_regions=True)
     ok = ok and to_svg(construct(7), opts).encode() == to_svg(construct(7), opts).encode()

@@ -290,7 +290,7 @@ class TestErrorContract:
             )
 
     def test_perturbation_failure_is_degenerate(self, tmp_path, capsys, monkeypatch):
-        def fail(n, seed=0):
+        def fail(n):
             raise PerturbationFailed("no general-position embedding within 64 attempts")
 
         monkeypatch.setattr(embedding, "construct", fail)
@@ -456,7 +456,7 @@ build a maximal embedding and write it to a file
 
   --n N                 cycle length, at least 3 (required)
   --out TEXT            output embedding file (required)
-  --seed N              perturbation seed (default 0)
+  --seed N              printed only; changes no result (default 0)
   --format {human,tsv}  output layout (default human)
   -h, --help            print this help and exit
 """,
@@ -476,7 +476,7 @@ check constructions against the closed forms over a range of n
 
   --n-min N             smallest n, at least 3 (default 3)
   --n-max N             largest n (default 15)
-  --seed N              perturbation seed (default 0)
+  --seed N              printed only; changes no result (default 0)
   --format {human,tsv}  output layout (default human)
   -h, --help            print this help and exit
 """,

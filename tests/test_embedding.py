@@ -5,6 +5,7 @@ import pytest
 
 from cycleregions import embedding, formulas
 from cycleregions.arrangement import build_arrangement
+from cycleregions.cli import main
 from cycleregions.embedding import (
     PERTURB_RETRIES,
     POLYGON_DIGITS,
@@ -16,13 +17,14 @@ from cycleregions.embedding import (
     construct_odd,
     format_embedding,
     load_embedding,
+    pair_table,
     parse_embedding,
     perturb,
     regular_polygon_points,
     save_embedding,
     validate_general_position,
 )
-from cycleregions.formulas import InvalidN
+from cycleregions.formulas import BadInput, ConstructionCheckFailed, InvalidN
 from cycleregions.geometry import Point, corner_points
 
 UNIT = 10**POLYGON_DIGITS
@@ -83,6 +85,15 @@ class TestCycleEmbedding:
     def test_rejects_wrong_corner_count(self):
         with pytest.raises(ValueError):
             CycleEmbedding(4, (P(0, 0), P(1, 0), P(0, 1)))
+
+    @pytest.mark.parametrize(
+        "bad", [0.5, "1", Fraction(1, 2), True], ids=["float", "str", "Fraction", "bool"]
+    )
+    def test_rejects_a_coordinate_that_is_not_an_int(self, bad):
+        # math.gcd raises TypeError on the first three and takes True as 1.
+        message = f"corner coordinate must be an integer, got {bad!r}"
+        with pytest.raises(BadInput, match=re.escape(message)):
+            CycleEmbedding(3, (P(0, 0), P(1, bad), P(0, 1)))
 
 
 class TestValidate:
@@ -199,13 +210,6 @@ class TestPerturb:
             perturb(hexagon_star(), Fraction(1, 1000), seed=-1)
 
 
-@pytest.mark.parametrize("build,n", [(construct, 8), (construct_odd, 7), (construct_even, 8)])
-def test_construct_rejects_negative_seed(build, n):
-    # Raised even where the placement needs no perturbation and so no seed.
-    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
-        build(n, seed=-1)
-
-
 class TestConstructOdd:
     def test_visit_order_is_bijection(self):
         for n in range(3, 100, 2):
@@ -276,24 +280,36 @@ class TestConstructEven:
             construct_even(None)
 
 
-def test_construct_perturbs_a_degenerate_placement(monkeypatch):
-    # Even n = 8 on the regular 8-gon, not the 9-gon, has triple points, so
-    # construct must fall back on perturb. Its post-check counts crossing
-    # pairs, not distinct points, so it would pass the degenerate drawing.
+def test_construct_refuses_a_degenerate_placement(monkeypatch, tmp_path, capsys):
+    # Even n = 8 on the regular 8-gon, not the 9-gon, has triple points.
+    # Its crossing pairs and splitter classes are still those of f(8), so
+    # only the post-check's `degenerate` refuses it; nothing repairs it.
     octagon = regular_polygon_points(8)
     monkeypatch.setattr(embedding, "regular_polygon_points", lambda k: octagon)
     assert len(validate_general_position(_place(8)).triple_points) == 4
     calls = []
+    monkeypatch.setattr(embedding, "perturb", lambda *args: calls.append(args))
+    message = (
+        "n=8: (degenerate, crossings, splitters, one-offs) (True, 17, 2, 6) != (False, 17, 2, 6)"
+    )
+    with pytest.raises(ConstructionCheckFailed) as caught:
+        construct(8)
+    assert str(caught.value) == message
+    path = tmp_path / "c8.txt"
+    assert main(["construct", "--n", "8", "--out", str(path)]) == 5
+    assert capsys.readouterr() == ("", f"construction check failed: {message}\n")
+    assert not path.exists()
+    assert calls == []
 
-    def counting_perturb(*args):
-        calls.append(args)
-        return perturb(*args)
 
-    monkeypatch.setattr(embedding, "perturb", counting_perturb)
-    emb = construct(8)
-    assert len(calls) == 1
-    assert validate_general_position(emb).is_empty()
-    assert build_arrangement(emb).face_count == formulas.f_max(8)
+def test_every_placement_up_to_120_is_in_general_position():
+    # construct keeps no fallback: each regular-polygon placement passes
+    # its post-check as placed. It also does for n = 121..450 and at
+    # n = 1000, too slow to check here.
+    for n in range(3, 121):
+        emb = construct(n)
+        assert emb == _place(n)
+        assert not pair_table(emb).degenerate, n  # the table construct read
 
 
 def test_construct_dispatches_on_parity():

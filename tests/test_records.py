@@ -14,7 +14,7 @@ from cycleregions.embedding import (
     construct,
     pair_table,
 )
-from cycleregions.formulas import InvalidN
+from cycleregions.formulas import BadInput, InvalidN
 from cycleregions.geometry import (
     IntersectionKind,
     Point,
@@ -61,7 +61,7 @@ def test_cycle_embedding_is_canonical():
     for den in (0, -2, 2.0, True):
         with pytest.raises(ValueError, match="denominator must be"):
             CycleEmbedding(3, [(0, 0), (1, 0), (0, 1)], den)
-    with pytest.raises(TypeError):
+    with pytest.raises(BadInput, match=r"coordinate must be an integer, got Fraction\(1, 2\)"):
         CycleEmbedding(3, [(Fraction(1, 2), 0), (1, 0), (0, 1)])
 
 

@@ -220,7 +220,7 @@ class TestOracle:
         with pytest.raises(InvalidN, match="n must be an integer, got 4.0"):
             embedding.construct(4.0)
         with pytest.raises(InvalidN, match="n must be at least 3, got 2"):
-            embedding.construct(2, seed=-1)
+            embedding.construct(2)
 
     @pytest.mark.parametrize(
         "n,visited,pruned", [(9, 9, 26), (10, 276, 673), (11, 11, 43), (12, 1336, 4075)]
@@ -459,7 +459,6 @@ class TestSplitterBound:
         (lambda: random_search(5, 2, seed=True), "seed must be an integer, got True"),
         (lambda: splitter_bound_check(6, 1.5), "trials must be an integer, got 1.5"),
         (lambda: splitter_bound_check(6, 2, seed=1.0), "seed must be an integer, got 1.0"),
-        (lambda: embedding.construct(5, seed=2.5), "seed must be an integer, got 2.5"),
         (
             lambda: perturb(embedding.construct(4), 1, seed=True),
             "seed must be an integer, got True",
