@@ -25,12 +25,24 @@ Each handler imports the layers it runs when it runs, so a command
 starts up without the ones it does not need. No module of the package
 imports this one: under `python -m cycleregions.cli` it runs as
 `__main__`, and importing it by name would compile and run it again.
+
+The program has one exit, `program()`, which both `python -m
+cycleregions.cli` and the `cycleregions` console script run: it calls
+`main()`, freezes the garbage collector with `gc.freeze()` and exits
+with main's code. The interpreter's final collections then skip every
+object the run made, which they would only traverse to free at exit,
+while atexit handlers, the flush of stdout and stderr, exit codes and a
+broken pipe stay the interpreter's own. Skipping them loses nothing:
+every file a command writes is closed by a `with` block before `main`
+returns. An exception that `main` re-raises propagates without a
+freeze. `main(argv)` called in process, as the tests call it, never
+touches the collector.
 """
 
 import importlib
 import sys
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .commands import (
     EXIT_BAD_INPUT, EXIT_DEGENERATE, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAILED, HELP_FLAGS, REQUIRED,
@@ -216,5 +228,17 @@ def _exit_code(exc: Exception) -> int | None:
         return EXIT_IO
     return None
 
+
+def program() -> NoReturn:
+    """Run `main` on sys.argv, freeze the collector and exit with main's
+    code: the one exit of the command-line program. Only this exit loads
+    `gc`; importing the module does not."""
+    import gc
+
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    program()

@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -6,22 +7,42 @@ from pathlib import Path
 
 import pytest
 
-from cycleregions import arrangement, embedding
+from cycleregions import arrangement, cli, embedding, probes
 from cycleregions.cli import main
 from cycleregions.embedding import (
     POLYGON_DIGITS,
     CycleEmbedding,
-    PerturbationFailed,
+    construct,
+    format_embedding,
     load_embedding,
     regular_polygon_points,
     save_embedding,
 )
+from cycleregions.render import RenderOptions, to_svg
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_module(*argv, flags=()):
+    """Run `python [flags] -m cycleregions.cli argv` on this checkout's src
+    and return its exit code, stdout and stderr. Its stdout is a pipe and
+    block-buffered, as in a shell pipeline, so output lost at exit shows."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "cycleregions.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 @pytest.fixture
@@ -289,14 +310,15 @@ class TestErrorContract:
                 "bad input: render size must be at most 1.8e+308\n",
             )
 
-    def test_perturbation_failure_is_degenerate(self, tmp_path, capsys, monkeypatch):
-        def fail(n):
-            raise PerturbationFailed("no general-position embedding within 64 attempts")
-
-        monkeypatch.setattr(embedding, "construct", fail)
-        code, _, err = run(capsys, "construct", "--n", "6", "--out", str(tmp_path / "x.txt"))
-        assert code == 4
-        assert "degenerate geometry" in err
+    def test_search_perturbation_failure_is_degenerate(self, capsys, monkeypatch):
+        # Every random draw is collinear, so best_region_count sends it to
+        # perturb, which with no retries raises PerturbationFailed at once.
+        monkeypatch.setattr(probes, "_random_corners", lambda rng, n: [(k, 0) for k in range(n)])
+        monkeypatch.setattr(embedding, "PERTURB_RETRIES", 0)
+        code, out, err = run(capsys, "search", "--n", "8", "--trials", "3")
+        assert (code, out) == (4, "")
+        assert err.startswith("degenerate geometry: no general-position embedding within 0 attempts")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     @pytest.mark.parametrize("n", [6, 7])
     def test_post_check_failure_is_verification_failure(self, tmp_path, capsys, monkeypatch, n):
@@ -418,18 +440,92 @@ def test_negative_seed_is_bad_input(argv, tmp_path, capsys):
     ],
 )
 def test_module_entry_point(n, code, out, err):
-    # The benchmark runs every command as a module, the one way that runs
-    # the CLI's `sys.exit(main())`.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "cycleregions.cli", "oracle", "--n", n],
-        env=env,
-        capture_output=True,
-        text=True,
+    # The benchmark runs every command as a module, which exits through
+    # `cli.program()` as the console script does.
+    assert run_module("oracle", "--n", n) == (code, out, err)
+
+
+class TestProgramExit:
+    """`program`, the exit of both entry routes, freezes the collector once
+    `main` has returned, and only then."""
+
+    @pytest.fixture
+    def events(self, monkeypatch):
+        """The order of main's returns and of gc.freeze calls, with the
+        collector's own freeze stubbed out."""
+        events = []
+        true_main = cli.main
+
+        def recorded_main(argv=None):
+            code = true_main(argv)
+            events.append(("main returned", code))
+            return code
+
+        monkeypatch.setattr(cli, "main", recorded_main)
+        monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+        return events
+
+    @pytest.mark.parametrize(
+        "argv,code",
+        [
+            (["oracle", "--n", "6"], 0),
+            (["oracle", "--n", "2"], 2),
+            (["count", "{dir}/flat.txt"], 4),
+            (["construct", "--n", "6", "--out", "{dir}/c6.txt"], 5),
+        ],
     )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+    def test_freezes_once_after_main_returns(
+        self, events, monkeypatch, tmp_path, capsys, argv, code
+    ):
+        (tmp_path / "flat.txt").write_text("n 3\ncorner 0/1 0/1\ncorner 1/1 0/1\ncorner 2/1 0/1\n")
+        # The polygon visited in its own order misses construct's post-check.
+        monkeypatch.setattr(embedding, "construction_order", lambda n: list(range(n)))
+        argv = [arg.format(dir=tmp_path) for arg in argv]
+        monkeypatch.setattr(sys, "argv", ["cycleregions", *argv])
+        with pytest.raises(SystemExit) as exit_:
+            cli.program()
+        assert exit_.value.code == code
+        assert events == [("main returned", code), "freeze"]
+
+    def test_error_main_reraises_propagates_without_a_freeze(
+        self, events, monkeypatch, pentagon_file
+    ):
+        def fail(path):
+            raise KeyError(path)
+
+        monkeypatch.setattr(embedding, "load_embedding", fail)
+        monkeypatch.setattr(sys, "argv", ["cycleregions", "count", pentagon_file])
+        with pytest.raises(KeyError):
+            cli.program()
+        assert events == []
+
+    def test_main_in_process_leaves_the_collector_alone(self, tmp_path, capsys):
+        frozen = gc.get_freeze_count()
+        assert main(["construct", "--n", "6", "--out", str(tmp_path / "c6.txt")]) == 0
+        assert main(["count", str(tmp_path / "c6.txt")]) == 0
+        assert main(["oracle", "--n", "2"]) == 2
+        assert gc.get_freeze_count() == frozen
+
+    def test_frozen_exit_loses_nothing(self, tmp_path, capsys):
+        # Under -X dev a file left open is a ResourceWarning at exit, which
+        # -W error reports on stderr; a lost buffer would shorten stdout or
+        # a written file.
+        emb_path, svg_path = str(tmp_path / "c41.txt"), str(tmp_path / "c41.svg")
+        lines = [
+            ["construct", "--n", "41", "--out", emb_path],
+            ["count", emb_path],
+            ["render", emb_path, "--highlight-splitters", "--out", svg_path],
+            ["verify"],
+        ]
+        outs = []
+        for argv in lines:
+            code, out, err = run_module(*argv, flags=("-X", "dev", "-W", "error"))
+            assert (code, err) == (0, "")
+            outs.append(out)
+        emb = construct(41)
+        assert Path(emb_path).read_text() == format_embedding(emb)
+        assert Path(svg_path).read_text() == to_svg(emb, RenderOptions(highlight_splitters=True))
+        assert outs == [run(capsys, *argv)[1] for argv in lines]
 
 
 HELP = {
