@@ -134,12 +134,11 @@ def splitter_analysis(emb: CycleEmbedding) -> PairClasses:
     the other segments it meets (any non-disjoint kind), and whose
     `splitters`, `splitter_count` and `one_off_count` classify them.
 
-    Works on degenerate embeddings except collinear overlaps, where the
-    notion of one intersection per pair breaks down, and coincident
-    adjacent corners, which collapse a segment; both raise
-    DegenerateInput.
+    Works on degenerate embeddings wherever the table's
+    `splitters_defined` holds; a collinear overlap or a collapsed segment
+    raises DegenerateInput with the drawing's full report.
     """
     table = pair_table(emb)
-    if table.meets is None or table.overlaps:
+    if not table.splitters_defined:
         raise DegenerateInput(validate_general_position(emb))
     return table

@@ -46,8 +46,11 @@ class CycleEmbedding(_CycleEmbeddingFields):
     """n corners in cycle order; segment i joins corner i to corner i+1
     (indices mod n). Corner k is (x / den, y / den) for (x, y) = corners[k].
     A factor that den shares with every coordinate is divided out, so den
-    is the lcm of the coordinates' lowest-terms denominators. A coordinate
-    that is not an int, or is a bool, raises BadInput."""
+    is the lcm of the coordinates' lowest-terms denominators whatever
+    common denominator they were given over: a prime power that exactly
+    divides that lcm divides some coordinate's lowest-terms denominator,
+    and so not its numerator. A coordinate that is not an int, or is a
+    bool, raises BadInput."""
 
     __slots__ = ()
 
@@ -284,16 +287,17 @@ def format_embedding(emb: CycleEmbedding) -> str:
 
 
 def _parse_rational(tok: str) -> tuple[int, int]:
-    """The coordinate's numerator and denominator in lowest terms, so that
-    the lcm of a file's denominators is that of its values."""
+    """The coordinate's numerator and denominator as the file spells
+    them, unreduced: CycleEmbedding divides out what their common
+    denominator shares with every coordinate, which leaves the lcm of the
+    lowest-terms denominators."""
     match = _RATIONAL.fullmatch(tok)
     if match is None:
         raise ValueError(f"coordinate {tok!r} is not of the form p/q")
     num, den = int(match[1]), int(match[2])
     if den == 0:
         raise ValueError(f"bad coordinate {tok!r}: zero denominator")
-    g = math.gcd(num, den)
-    return num // g, den // g
+    return num, den
 
 
 def parse_embedding(text: str) -> CycleEmbedding:

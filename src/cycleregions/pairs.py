@@ -8,7 +8,10 @@ proper crossing is kept as its exact parameter along each of its two
 segments, which orders every segment's chain of crossings and finds the
 crossings that share a point, without building a point. The table also
 owns the splitter rule: a segment of an n-cycle is a splitter when it
-meets all n - 1 others, a one-off splitter when it meets n - 2.
+meets all n - 1 others, a one-off splitter when it meets n - 2. The rule
+holds where every pair meets at most once, so `splitters_defined` is
+false when a segment collapses or two segments overlap; `arrangement`
+and `render` both read that one property.
 
 This module imports no other module of the package and no `fractions`,
 so a caller with integer corners, such as the random search, classifies
@@ -38,7 +41,7 @@ class PairClasses(NamedTuple):
     crossing pair (i, j), i < j, in lexicographic order. meets, chains and
     signs are None, and the other three empty, when adjacent corners
     coincide, since a collapsed segment has no pairs. The splitter
-    properties, with n = len(meets), are read only when meets is not None.
+    properties, with n = len(meets), are read only when `splitters_defined`.
     """
 
     coincident: tuple[tuple[int, int], ...]
@@ -54,6 +57,13 @@ class PairClasses(NamedTuple):
         """Whether the drawing is out of general position: true exactly
         when coincident, incidences, overlaps or ties is non-empty."""
         return bool(self.coincident or self.incidences or self.overlaps or self.ties)
+
+    @property
+    def splitters_defined(self) -> bool:
+        """Whether the splitter classes are defined: no segment collapses
+        to a point and no two segments overlap, so each pair meets at
+        most once and `meets` counts the segments each one meets."""
+        return self.meets is not None and not self.overlaps
 
     @property
     def splitters(self) -> tuple[bool, ...]:

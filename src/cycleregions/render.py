@@ -5,14 +5,16 @@ produce identical bytes. Each corner's exact screen position is computed
 once, as an integer numerator and denominator, and only then divided into
 a float, which is printed with six fractional digits. `int / int` rounds
 correctly, so the float is the one nearest the exact position.
+
+Splitter highlighting reads the drawing's pair table from `embedding`
+directly, so rendering loads no `arrangement`.
 """
 
 import sys
 from typing import NamedTuple, Optional
 
-from .arrangement import splitter_analysis
-from .embedding import CycleEmbedding
-from .formulas import BadInput, DegenerateInput
+from .embedding import CycleEmbedding, pair_table
+from .formulas import BadInput
 
 MARGIN = 5  # percent of the viewport, on every side
 STROKE_WIDTH = 2.0
@@ -64,7 +66,8 @@ def to_svg(emb: CycleEmbedding, options: Optional[RenderOptions] = None) -> str:
     The viewport fits the exact corner bounding box with a 5% margin; a
     width or height that `check_size` refuses, or a colour that
     `check_color` refuses, raises BadInput. With highlight_splitters, the
-    splitters of the drawing's pair table get the splitter stroke. Region
+    splitters of the drawing's pair table get the splitter stroke; where
+    the table's splitter classes are undefined, no segment does. Region
     shading is a single even-odd fill of the closed polyline; it is
     illustrative only and can hide regions the even-odd rule cancels.
     """
@@ -95,10 +98,9 @@ def to_svg(emb: CycleEmbedding, options: Optional[RenderOptions] = None) -> str:
 
     splitter_flags = (False,) * emb.n
     if opts.highlight_splitters:
-        try:
-            splitter_flags = splitter_analysis(emb).splitters
-        except DegenerateInput:
-            pass  # degenerate drawings render unhighlighted as-is
+        table = pair_table(emb)
+        if table.splitters_defined:
+            splitter_flags = table.splitters
 
     parts = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '

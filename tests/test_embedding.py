@@ -376,6 +376,20 @@ class TestFileFormat:
         emb = parse_embedding("n 3\ncorner -0/1 07/014\ncorner 1/1 0/1\ncorner 0/1 1/1\n")
         assert corner_points(emb)[0] == Point(Fraction(0), Fraction(1, 2))
 
+    def test_unreduced_denominators_parse_as_lowest_terms(self):
+        # Each coordinate is scaled by its own 40-digit factor, so no two
+        # denominators are equal and none is in lowest terms.
+        lowest = "n 3\ncorner 1/2 0/1\ncorner -2/3 -1/2\ncorner 2/1 1/2\n"
+        factors = iter(range(10**39 + 1, 10**39 + 7))
+
+        def scale(match):
+            k = next(factors)
+            return f"{int(match[1]) * k}/{int(match[2]) * k}"
+
+        unreduced = re.sub(r"(-?\d+)/(\d+)", scale, lowest)
+        assert all(len(q) == 40 for q in re.findall(r"/(\d+)", unreduced))
+        assert parse_embedding(unreduced) == parse_embedding(lowest)
+
     def test_blank_lines_ignored(self):
         emb = construct(5)
         text = format_embedding(emb).replace("\n", "\n\n")
