@@ -287,17 +287,23 @@ def format_embedding(emb: CycleEmbedding) -> str:
 
 
 def _parse_rational(tok: str) -> tuple[int, int]:
-    """The coordinate's numerator and denominator as the file spells
-    them, unreduced: CycleEmbedding divides out what their common
-    denominator shares with every coordinate, which leaves the lcm of the
-    lowest-terms denominators."""
+    """The coordinate's numerator and denominator in lowest terms.
+
+    Reducing each coordinate as it is read costs one gcd of its own two
+    numbers. The file's common denominator is then the lcm of lowest-terms
+    denominators, the drawing's own. Over the spelled denominators it
+    would be that times the product of their distinct unneeded factors,
+    which `CycleEmbedding` divides back out, so a file that spells small
+    values over huge unreduced denominators would take time quadratic in
+    its length."""
     match = _RATIONAL.fullmatch(tok)
     if match is None:
         raise ValueError(f"coordinate {tok!r} is not of the form p/q")
     num, den = int(match[1]), int(match[2])
     if den == 0:
         raise ValueError(f"bad coordinate {tok!r}: zero denominator")
-    return num, den
+    g = math.gcd(num, den)
+    return num // g, den // g
 
 
 def parse_embedding(text: str) -> CycleEmbedding:

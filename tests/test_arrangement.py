@@ -6,7 +6,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cycleregions.arrangement import (
-    DegenerateInput,
     build_arrangement,
     region_count_euler,
     region_count_traversal,
@@ -50,13 +49,6 @@ class TestBuildArrangement:
         arr = build_arrangement(convex(6))
         assert (arr.vertex_count, arr.edge_count, arr.face_count) == (6, 6, 1)
 
-    def test_degenerate_input_raises_with_report(self):
-        poly = regular_polygon_points(6)
-        star = CycleEmbedding(6, tuple(poly[i] for i in (0, 3, 1, 4, 2, 5)), 10**POLYGON_DIGITS)
-        with pytest.raises(DegenerateInput) as exc:
-            build_arrangement(star)
-        assert len(exc.value.report.triple_points) == 1
-
     def test_one_more_crossing_one_more_region(self):
         square = regular_polygon_points(4)
         plain = CycleEmbedding(4, tuple(square), 10**POLYGON_DIGITS)
@@ -93,11 +85,6 @@ class TestTraversalCounter:
         assert region_count_traversal(fixed) == region_count_euler(
             build_arrangement(fixed)
         ) == 7
-
-    def test_rejects_degenerate_input(self):
-        emb = CycleEmbedding(4, (P(0, 0), P(2, 0), P(1, 0), P(1, 2)))
-        with pytest.raises(DegenerateInput):
-            region_count_traversal(emb)
 
     @given(st.integers(min_value=0, max_value=10**6))
     @settings(max_examples=40, deadline=None)
@@ -138,18 +125,6 @@ class TestSplitterAnalysis:
         report = splitter_analysis(construct_even(10))
         assert report.splitter_count == 2
         assert report.one_off_count == 8
-
-    def test_works_on_triple_point_degeneracy(self):
-        # splitter counting only needs pairwise intersection kinds
-        poly = regular_polygon_points(6)
-        star = CycleEmbedding(6, tuple(poly[i] for i in (0, 3, 1, 4, 2, 5)), 10**POLYGON_DIGITS)
-        report = splitter_analysis(star)
-        assert len(report.meets) == 6
-
-    def test_collinear_overlap_raises(self):
-        emb = CycleEmbedding(4, (P(0, 0), P(2, 0), P(1, 0), P(1, 2)))
-        with pytest.raises(DegenerateInput):
-            splitter_analysis(emb)
 
 
 def test_counts_match_size_predictions():

@@ -159,17 +159,6 @@ class TestCount:
         assert (code, out) == (2, "")
         assert err == f"bad input: {limit.value}\n"
 
-    def test_degenerate_file(self, tmp_path, capsys):
-        poly = regular_polygon_points(6)
-        star = CycleEmbedding(6, tuple(poly[i] for i in (0, 3, 1, 4, 2, 5)), 10**POLYGON_DIGITS)
-        path = tmp_path / "star.txt"
-        save_embedding(star, str(path))
-        code, _, err = run(capsys, "count", str(path))
-        assert code == 4
-        assert "degenerate geometry" in err
-        assert "triple point" in err
-
-
 class TestVerify:
     def test_default_range_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--format", "tsv")
@@ -356,18 +345,6 @@ class TestErrorContract:
         assert [int(row.split()[0]) for row in rows] == list(range(3, 10))
         assert [row.split()[-1] for row in rows] == ["True"] * 4 + ["False"] + ["True"] * 2
         assert err == "first failing row: n=7\n"
-
-    def test_collapsed_segment_exits_alike_in_every_command(self, tmp_path, capsys):
-        path = tmp_path / "collapsed.txt"
-        path.write_text("n 3\ncorner 0/1 0/1\ncorner 0/1 0/1\ncorner 1/1 1/1\n")
-        code, _, err = run(capsys, "count", str(path))
-        assert code == 4
-        assert "degenerate geometry" in err
-        for extra in ((), ("--highlight-splitters",)):
-            svg = tmp_path / "collapsed.svg"
-            code, _, _ = run(capsys, "render", str(path), "--out", str(svg), *extra)
-            assert code == 0
-            assert 'class="segment splitter"' not in svg.read_text()
 
     def test_error_outside_the_contract_is_not_masked(self, pentagon_file, monkeypatch):
         # An error raised inside the program maps to no exit code, so main

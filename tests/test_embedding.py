@@ -1,3 +1,4 @@
+import math
 import re
 from fractions import Fraction
 
@@ -94,47 +95,6 @@ class TestCycleEmbedding:
         message = f"corner coordinate must be an integer, got {bad!r}"
         with pytest.raises(BadInput, match=re.escape(message)):
             CycleEmbedding(3, (P(0, 0), P(1, bad), P(0, 1)))
-
-
-class TestValidate:
-    def test_pentagram_is_general_position(self):
-        assert validate_general_position(construct_odd(5)).is_empty()
-
-    def test_triple_point_detected(self):
-        report = validate_general_position(hexagon_star())
-        assert not report.is_empty()
-        assert len(report.triple_points) == 1
-        point, segs = report.triple_points[0]
-        assert point == (0, 0, 1)
-        assert len(segs) == 3
-
-    def test_coincident_corners_detected(self):
-        sq = regular_polygon_points(4)
-        emb = CycleEmbedding(4, (sq[0], sq[1], sq[0], sq[3]), UNIT)
-        report = validate_general_position(emb)
-        assert report.coincident_corners == ((0, 2),)
-
-    def test_adjacent_coincident_corners_short_circuit(self):
-        emb = CycleEmbedding(3, (P(0, 0), P(0, 0), P(1, 1)))
-        report = validate_general_position(emb)
-        assert report.coincident_corners == ((0, 1),)
-
-    def test_corner_incidence_detected(self):
-        # corner 3 sits in the interior of segment 0
-        emb = CycleEmbedding(
-            5, (P(0, 0), P(4, 0), P(4, 4), P(2, 0), P(0, 4))
-        )
-        report = validate_general_position(emb)
-        assert (3, 0) in report.corner_incidences
-
-    def test_collinear_overlap_detected(self):
-        emb = CycleEmbedding(4, (P(0, 0), P(2, 0), P(1, 0), P(1, 2)))
-        report = validate_general_position(emb)
-        assert (0, 1) in report.collinear_overlaps
-
-    def test_summary_mentions_counts(self):
-        s = validate_general_position(hexagon_star()).summary()
-        assert "1 triple point(s)" in s
 
 
 class TestPerturb:
@@ -389,6 +349,21 @@ class TestFileFormat:
         unreduced = re.sub(r"(-?\d+)/(\d+)", scale, lowest)
         assert all(len(q) == 40 for q in re.findall(r"/(\d+)", unreduced))
         assert parse_embedding(unreduced) == parse_embedding(lowest)
+
+    def test_common_denominator_is_taken_over_lowest_terms(self, monkeypatch):
+        # Each coordinate is reduced as it is read, so the lcm of the file's
+        # denominators is never taken over an unreduced one.
+        taken = []
+        lcm = math.lcm
+
+        def spy(*dens):
+            taken.append(dens)
+            return lcm(*dens)
+
+        monkeypatch.setattr(math, "lcm", spy)
+        emb = parse_embedding("n 3\ncorner 2/4 0/6\ncorner -6/9 -3/6\ncorner 8/4 5/10\n")
+        assert taken == [(2, 1, 3, 2, 1, 2)]
+        assert emb == (3, ((3, 0), (-4, -3), (12, 3)), 6)
 
     def test_blank_lines_ignored(self):
         emb = construct(5)

@@ -34,13 +34,5 @@ def test_classes_are_the_pair_table_of_the_drawing():
         assert not pairs.overlaps or pairs.incidences or pairs.coincident, corners
 
 
-def test_three_segments_through_one_point_tie():
-    # Segments 0, 2 and 4 of this star all pass through (2, 2).
-    corners = [(0, 0), (4, 4), (4, 0), (0, 4), (2, 0), (2, 4)]
-    pairs = classify_pairs(corners)
-    assert pairs.ties
-    assert not (pairs.coincident or pairs.incidences or pairs.overlaps)
-
-
 def test_collapsed_segment_has_no_pairs():
     assert classify_pairs([(0, 0), (0, 0), (1, 1)]) == (((0, 1),), (), (), (), None, None, None)

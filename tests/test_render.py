@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cycleregions import arrangement, embedding
-from cycleregions.embedding import CycleEmbedding, construct_even, construct_odd
+from cycleregions.embedding import construct_even, construct_odd
 from cycleregions.formulas import BadInput
 from cycleregions.render import RenderOptions, to_svg
 
@@ -143,29 +142,3 @@ def test_byte_deterministic():
     a = to_svg(construct_even(6), RenderOptions(highlight_splitters=True))
     b = to_svg(construct_even(6), RenderOptions(highlight_splitters=True))
     assert a.encode("ascii") == b.encode("ascii")
-
-
-@pytest.mark.parametrize(
-    "corners,want",
-    [
-        # Segment 2 overlaps segments 0 and 1.
-        (((0, 0), (1, 0), (2, 0)), 0),
-        # Segment 0 collapses to a point.
-        (((0, 0), (0, 0), (1, 1)), 0),
-        # Segments 0, 2 and 4 cross at (2, 2); segments 0 and 2 meet all others.
-        (((0, 0), (4, 4), (4, 0), (0, 4), (2, 0), (2, 4)), 2),
-    ],
-    ids=["collinear", "collapsed", "star"],
-)
-def test_highlighting_builds_no_degeneracy_report(monkeypatch, corners, want):
-    # Highlighting reads the pair table alone: a drawing whose splitter
-    # classes are undefined is drawn unhighlighted, with no report built.
-    def refuse(emb):
-        raise AssertionError("a degeneracy report was built")
-
-    for module in (embedding, arrangement):
-        monkeypatch.setattr(module, "validate_general_position", refuse)
-    emb = CycleEmbedding(len(corners), corners)
-    svg = to_svg(emb, RenderOptions(highlight_splitters=True))
-    assert svg.count('class="segment splitter"') == want
-    assert svg.count("<line ") == emb.n
