@@ -15,7 +15,7 @@ _EXPORTS = {
     "ConstructionCheckFailed": "formulas",
     "CycleEmbedding": "embedding",
     "CyclicPermutation": "search",
-    "DegeneracyReport": "embedding",
+    "DegeneracyReport": "degeneracy",
     "DegenerateInput": "formulas",
     "Intersection": "geometry",
     "IntersectionKind": "geometry",

@@ -13,6 +13,10 @@ the two directed copies (darts) of every edge, orders the darts leaving
 each crossing from the sign of the crossing segments' cross product, and
 counts the orbits of the face-walk permutation on the darts, so the two
 agreeing checks the counting, not the shared pair classification.
+
+A drawing the counters refuse raises DegenerateInput with the report that
+`embedding.validate_general_position` builds; only then is `degeneracy`
+loaded.
 """
 
 from typing import NamedTuple

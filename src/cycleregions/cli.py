@@ -1,5 +1,5 @@
-"""Command line front end: the command table, argv parsing, dispatch and
-the exit-code contract, which is all that every command runs.
+"""Command line front end: the command table, argv parsing and dispatch,
+which is all that every command runs.
 
 `COMMANDS` is the command line: each command's help line and its
 options, each option with its flag, kind, default and help line. `_parse`
@@ -15,11 +15,13 @@ it is reported on one `bad input:` line like any other bad input.
 
 Exit codes: 0 success, 2 bad input, 3 I/O failure, 4 degenerate geometry
 or failed perturbation, 5 verification failure or a construction that
-misses its own post-check. `_exit_code` holds that contract; the codes
-are defined in `commands` and the exception classes it reads in
-`formulas`, so reporting a failure loads no layer. Any other exception
-is a bug, and `main` re-raises it. Every randomized command prints its
-seed so any run can be reproduced from its own log.
+misses its own post-check. `commands.failure.exit_code` holds that
+contract, and `main` imports it only when a command raises, so a run
+that succeeds compiles none of it; the codes are defined in `commands`
+and the exception classes it reads in `formulas`, so reporting a failure
+loads no layer. Any other exception is a bug, and `main` re-raises it.
+Every randomized command prints its seed so any run can be reproduced
+from its own log.
 
 Each handler imports the layers it runs when it runs, so a command
 starts up without the ones it does not need. No module of the package
@@ -44,11 +46,8 @@ import sys
 from types import SimpleNamespace
 from typing import NamedTuple, NoReturn
 
-from .commands import (
-    EXIT_BAD_INPUT, EXIT_DEGENERATE, EXIT_IO, EXIT_OK, EXIT_VERIFY_FAILED, HELP_FLAGS, REQUIRED,
-)
-from .formulas import ORACLE_MAX_N
-from .formulas import BadInput, ConstructionCheckFailed, DegenerateInput, PerturbationFailed
+from .commands import EXIT_OK, HELP_FLAGS, REQUIRED
+from .formulas import ORACLE_MAX_N, BadInput
 
 
 class Option(NamedTuple):
@@ -202,31 +201,12 @@ def main(argv=None) -> int:
             return EXIT_OK
         return importlib.import_module(f".commands.{name}", __package__).run(args)
     except Exception as exc:
-        code = _exit_code(exc)
+        from .commands.failure import exit_code
+
+        code = exit_code(exc)
         if code is None:
             raise
         return code
-
-
-def _exit_code(exc: Exception) -> int | None:
-    """Report a failure on stderr and return its exit code, or None for
-    an exception outside the error contract."""
-    if isinstance(exc, DegenerateInput):
-        print(f"degenerate geometry: {exc.report.summary()}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    if isinstance(exc, PerturbationFailed):
-        print(f"degenerate geometry: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    if isinstance(exc, ConstructionCheckFailed):
-        print(f"construction check failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    if isinstance(exc, BadInput):  # InvalidN and NTooLarge included
-        print(f"bad input: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    if isinstance(exc, OSError):
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return None
 
 
 def program() -> NoReturn:

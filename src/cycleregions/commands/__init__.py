@@ -1,9 +1,11 @@
-"""One module per command, each with `run(args) -> int`.
+"""One module per command, each with `run(args) -> int`, and `failure`,
+which reports a failed command.
 
 `cli.main` imports `commands.<name>` only for the command it runs, so a
-process compiles that one handler and none of the others. This package
-holds what the handlers and `cli` share: the exit codes, the key/value
-emitter and the vocabulary of the command table. It imports nothing of
+process compiles that one handler and none of the others, and imports
+`commands.failure` only when the command raises. This package holds what
+the handlers and `cli` share: the exit codes, the key/value emitter and
+the vocabulary of the command table. It imports nothing of
 the package, and no handler imports `cli`: under `python -m
 cycleregions.cli`, `cli.py` runs as `__main__`, and importing it by name
 would compile and run it a second time.

@@ -19,8 +19,8 @@ def run(args) -> int:
     emb = load_embedding(args.path)
     svg = to_svg(emb, opts)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(svg)
+        with open(args.out, "wb") as fh:
+            fh.write(svg.encode("ascii"))
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(svg)

@@ -1,6 +1,6 @@
 """Cycle embeddings: corner placements, the extremal construction, the
 pair table behind general-position validation, deterministic perturbation,
-and the text file format.
+and the text file format, read and written as ASCII bytes.
 
 An embedding is the full description of a drawing: n corners in cycle
 order, with segment i joining corner i to corner (i+1) mod n. A segment
@@ -10,9 +10,12 @@ exact rationals and degeneracy detection is a decision, not a tolerance.
 `pair_table` returns the corners' `pairs.PairClasses`, whose one pass over
 the segment pairs in integer arithmetic classifies every pair, touches and
 overlaps included, and finds every corner that lies inside another
-segment. Triple points, perturbation and the file format are integer
-arithmetic too, so this module loads no `fractions`; the `Fraction`
-predicates of `geometry` are not needed to draw, count or check a drawing.
+segment. Perturbation and the file format are integer arithmetic too, so
+this module loads no `fractions`; the `Fraction` predicates of `geometry`
+are not needed to draw, count or check a drawing. The `DegeneracyReport`
+of a refused drawing, triple points included, is built in integers by
+`degeneracy`, which `validate_general_position` loads when it is called,
+so a command whose drawing is accepted compiles no report code.
 """
 
 import math
@@ -31,9 +34,11 @@ POLYGON_DIGITS = 12
 PERTURB_RETRIES = 64
 # Denominator bound for the random offsets drawn inside perturb().
 _OFFSET_GRID = 10**6
-# The file format's only spellings of a count and of a coordinate.
-_COUNT = re.compile("[0-9]+")
-_RATIONAL = re.compile("(-?[0-9]+)/([0-9]+)")
+# The file format's only spellings of a count and of a coordinate. They
+# are strings, not compiled patterns: `re.fullmatch` compiles each on the
+# first parse and caches it, so a command that reads no file compiles none.
+_COUNT = "[0-9]+"
+_RATIONAL = "(-?[0-9]+)/([0-9]+)"
 
 
 class _CycleEmbeddingFields(NamedTuple):
@@ -71,64 +76,6 @@ class CycleEmbedding(_CycleEmbeddingFields):
         return super().__new__(cls, n, corners, den)
 
 
-class DegeneracyReport(NamedTuple):
-    """Everything that keeps an embedding out of general position.
-
-    triple_points:      ((x, y, d), cycle indices of the >= 3 segments
-                         with a common proper crossing at (x / d, y / d)),
-                         in lowest terms, d > 0, ordered by x / d, y / d
-    corner_incidences:  (corner index, cycle index of a non-incident
-                         segment whose interior contains that corner)
-    collinear_overlaps: (cycle index, cycle index) pairs sharing a
-                        positive-length sub-segment
-    coincident_corners: (corner index, corner index) pairs at one point
-
-    An empty report is exactly general position.
-    """
-
-    triple_points: tuple[tuple[tuple[int, int, int], tuple[int, ...]], ...] = ()
-    corner_incidences: tuple[tuple[int, int], ...] = ()
-    collinear_overlaps: tuple[tuple[int, int], ...] = ()
-    coincident_corners: tuple[tuple[int, int], ...] = ()
-
-    def is_empty(self) -> bool:
-        """True when every field is empty."""
-        return not any(self)
-
-    def summary(self) -> str:
-        parts = [
-            f"{len(self.triple_points)} triple point(s)",
-            f"{len(self.corner_incidences)} corner incidence(s)",
-            f"{len(self.collinear_overlaps)} collinear overlap(s)",
-            f"{len(self.coincident_corners)} coincident corner pair(s)",
-        ]
-        return "; ".join(parts)
-
-
-def _crossing_point(emb: CycleEmbedding, i: int, j: int) -> tuple[int, int, int]:
-    """The point where the lines of segments i and j meet, as the integers
-    (x, y, d) in lowest terms, d > 0, of the point (x / d, y / d)."""
-    pts = emb.corners
-    (ax, ay), (bx, by) = pts[i], pts[(i + 1) % emb.n]
-    (cx, cy), (dx, dy) = pts[j], pts[(j + 1) % emb.n]
-    vx, vy = dx - cx, dy - cy
-    # Segment j's line meets segment i's at t / q of the way along it.
-    t = vx * (ay - cy) - vy * (ax - cx)
-    q = t - (vx * (by - cy) - vy * (bx - cx))
-    x, y, d = ax * q + t * (bx - ax), ay * q + t * (by - ay), q * emb.den
-    g = math.gcd(x, y, d) if d > 0 else -math.gcd(x, y, d)
-    return x // g, y // g, d // g
-
-
-def _crossing_ends(chains: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    """ends[c] = [i, j], the segments i < j of crossing c."""
-    ends: list[list[int]] = [[] for _ in range(sum(map(len, chains)) // 2)]
-    for s, chain in enumerate(chains):
-        for c in chain:
-            ends[c].append(s)
-    return ends
-
-
 _latest: list = [None, None]  # the latest drawing and its pair table
 
 
@@ -143,31 +90,20 @@ def pair_table(emb: CycleEmbedding) -> PairClasses:
     return _latest[1]
 
 
-def validate_general_position(emb: CycleEmbedding) -> DegeneracyReport:
-    """Every degeneracy of an embedding, read from its pair table, whose
-    one pass over the segment pairs finds them all but coincident corners.
+def validate_general_position(emb: CycleEmbedding):
+    """The `degeneracy.DegeneracyReport` of every degeneracy of an
+    embedding, read from its pair table, whose one pass over the segment
+    pairs finds them all but coincident corners.
 
     General position means: corners pairwise distinct, no corner interior
     to a non-incident segment, no collinear overlapping segments, and no
-    point where three or more segments cross. Only the crossings that the
-    table finds at one point of a segment are built as points, for the
-    report's triple points.
+    point where three or more segments cross. The report is built, and
+    `degeneracy` loaded, only when this is called, which the commands do
+    only for a drawing they refuse.
     """
-    pairs = pair_table(emb)
-    # Two crossings at one point of a segment name at least three segments.
-    shared: dict[tuple[int, int, int], set[int]] = {}
-    if pairs.ties:
-        ends = _crossing_ends(pairs.chains)
-        for c, c2 in pairs.ties:
-            point = _crossing_point(emb, *ends[c])
-            shared.setdefault(point, set()).update(ends[c], ends[c2])
-    # Over their common denominator, the points sort by integer x, then y.
-    den = math.lcm(*(d for _, _, d in shared))
-    triples = tuple(sorted(
-        ((p, tuple(sorted(ids))) for p, ids in shared.items()),
-        key=lambda t: (t[0][0] * (den // t[0][2]), t[0][1] * (den // t[0][2])),
-    ))
-    return DegeneracyReport(triples, pairs.incidences, pairs.overlaps, pairs.coincident)
+    from .degeneracy import general_position_report
+
+    return general_position_report(emb, pair_table(emb))
 
 
 def perturb(emb: CycleEmbedding, epsilon, seed: int = 0) -> CycleEmbedding:
@@ -296,7 +232,7 @@ def _parse_rational(tok: str) -> tuple[int, int]:
     which `CycleEmbedding` divides back out, so a file that spells small
     values over huge unreduced denominators would take time quadratic in
     its length."""
-    match = _RATIONAL.fullmatch(tok)
+    match = re.fullmatch(_RATIONAL, tok)
     if match is None:
         raise ValueError(f"coordinate {tok!r} is not of the form p/q")
     num, den = int(match[1]), int(match[2])
@@ -320,7 +256,7 @@ def parse_embedding(text: str) -> CycleEmbedding:
     head = lines[0].split()
     if len(head) != 2 or head[0] != "n":
         raise ValueError(f"expected header 'n <int>', got {lines[0]!r}")
-    if not _COUNT.fullmatch(head[1]):
+    if not re.fullmatch(_COUNT, head[1]):
         raise ValueError(f"bad cycle length {head[1]!r}")
     n = int(head[1])
     if len(lines) - 1 != n:
@@ -337,18 +273,26 @@ def parse_embedding(text: str) -> CycleEmbedding:
 
 
 def save_embedding(emb: CycleEmbedding, path: str) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(format_embedding(emb))
+    """Write the embedding's text format to path as ASCII bytes, with
+    `\n` line ends on every platform."""
+    with open(path, "wb") as fh:
+        fh.write(format_embedding(emb).encode("ascii"))
 
 
 def load_embedding(path: str) -> CycleEmbedding:
     """Read and parse an embedding file. Any ValueError on the way, such as
     a non-ASCII byte or a number past `int`'s digit limit, is raised as
-    BadInput with the same message."""
-    with open(path, "r", encoding="ascii") as fh:
-        try:
-            return parse_embedding(fh.read())
-        except BadInput:
-            raise
-        except ValueError as exc:
-            raise BadInput(str(exc)) from exc
+    BadInput with the same message.
+
+    The file is read as bytes and decoded by `bytes.decode("ascii")`, which
+    needs no codec lookup, where a text-mode `open` would import
+    `encodings.ascii`. `parse_embedding` splits lines at `\n`, `\r\n` and
+    a lone `\r` alike, as text mode's newline translation did."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return parse_embedding(data.decode("ascii"))
+    except BadInput:
+        raise
+    except ValueError as exc:
+        raise BadInput(str(exc)) from exc

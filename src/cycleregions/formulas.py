@@ -8,8 +8,8 @@ of steps of n // 2 and of n // 2 - 1 (see `construction_order`).
 All values are exact integers computed with integer arithmetic only.
 
 This leaf module also defines every exception class of the command line's
-error contract, which `cli._exit_code` maps to exit codes, so reporting a
-failure loads no other module of the package.
+error contract, which `commands.failure.exit_code` maps to exit codes, so
+reporting a failure loads no other module of the package.
 """
 
 import itertools

@@ -111,6 +111,16 @@ class TestCount:
         assert code == 0
         assert "regions_euler: 1" in out
 
+    @pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_line_ends_are_read_alike(self, pentagon_file, tmp_path, capsys, end):
+        # The file is read as bytes, with no newline translation: the parser
+        # itself must split lines at a CRLF or a lone CR as at an LF.
+        path = tmp_path / "ends.txt"
+        lf = Path(pentagon_file).read_bytes()
+        path.write_bytes(lf.replace(b"\n", end))
+        assert load_embedding(str(path)) == load_embedding(pentagon_file)
+        assert run(capsys, "count", str(path)) == run(capsys, "count", pentagon_file)
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "count", "/no/such/file.txt")
         assert code == 3

@@ -29,8 +29,8 @@ Columns, one test each:
 
 The command columns call `cli.main` in process on the file that
 `save_embedding` writes for the row. So the drawing is read by the file
-parser and its failure reported by `cli._exit_code`, as on the command
-line, without an interpreter per row.
+parser and its failure reported by `commands.failure.exit_code`, as on
+the command line, without an interpreter per row.
 """
 
 from typing import NamedTuple, Optional
@@ -45,10 +45,10 @@ from cycleregions.arrangement import (
     splitter_analysis,
 )
 from cycleregions.cli import main
+from cycleregions.degeneracy import DegeneracyReport
 from cycleregions.embedding import (
     POLYGON_DIGITS,
     CycleEmbedding,
-    DegeneracyReport,
     construct,
     regular_polygon_points,
     save_embedding,

@@ -301,6 +301,7 @@ class TestFileFormat:
         emb = construct(6)
         path = tmp_path / "hexagon.txt"
         save_embedding(emb, str(path))
+        assert path.read_bytes() == format_embedding(emb).encode("ascii")  # LF line ends
         assert load_embedding(str(path)) == emb
 
     @pytest.mark.parametrize(

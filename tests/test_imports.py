@@ -83,3 +83,12 @@ def test_no_module_postpones_annotations():
         and any(alias.name == "annotations" for alias in node.names)
     ]
     assert postponed == []
+
+
+def test_degeneracy_imports_no_module_of_the_package():
+    # The report is loaded only for a refused drawing, by a function-level
+    # import in embedding; it takes the drawing and its pair classes as
+    # arguments, so it needs no sibling.
+    graph = import_graph()
+    assert "degeneracy" in graph["embedding"]  # the walk does see the import
+    assert graph["degeneracy"] == set()

@@ -20,10 +20,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cycleregions.arrangement import build_arrangement, region_count_traversal
+from cycleregions.degeneracy import DegeneracyReport
 from cycleregions.embedding import (
     POLYGON_DIGITS,
     CycleEmbedding,
-    DegeneracyReport,
     construct,
     pair_table,
     regular_polygon_points,

@@ -10,12 +10,16 @@ code and every module in `sys.modules`. A row pins that exit code and
 the exact set of `cycleregions.*` modules. A process compiles every
 module it loads when no bytecode is cached, so the set is what the
 command pays for: its own handler and the layers it runs, never another
-handler, the oracle only for `oracle`, the probes only for `search` and
-the help builder only for `--help`. `cycleregions.cli` itself is in no
+handler, the oracle only for `oracle`, the probes only for `search`, the
+help builder only for `--help`, the exit-code report only for a command
+that fails and the degeneracy report only for a drawing that `count`
+refuses. `cycleregions.cli` itself is in no
 command's set, since it runs as `__main__`; a module that imported it by
 name would compile and run it a second time. Every row also loads none
 of `FORBIDDEN`: argparse and its gettext, the rational arithmetic of
-`fractions`, and `dataclasses` and `inspect`. Each row starts its
+`fractions`, `dataclasses` and `inspect`, and the `encodings.ascii`
+codec, which a file opened in text mode as ASCII looks up: embedding
+files and SVGs are read and written as bytes. Each row starts its
 interpreter once per module: the named checks after the table each
 read one property of some rows from that same run, and start none.
 
@@ -89,6 +93,7 @@ PUBLIC_NAMES = [
 
 FORBIDDEN = [
     "argparse", "gettext", "fractions", "decimal", "_decimal", "numbers", "dataclasses", "inspect",
+    "encodings.ascii",
 ]
 
 LAYERS = [f"cycleregions.{m}" for m in ("geometry", "embedding", "arrangement", "render")]
@@ -131,9 +136,11 @@ STAR = (
 )
 
 # Every command loads formulas and commands, then its own handler module
-# and the layers that handler runs; only --help loads usage.
+# and the layers that handler runs; only --help loads usage, and only a
+# command that fails loads FAILED, the exit-code report.
 EVERY_COMMAND = {"formulas", "commands"}
 GEOMETRY = ["embedding", "pairs", "arrangement"]
+FAILED = "commands.failure"
 
 
 def command(argv: list[str], code: int, *own: str) -> tuple[str, list[str], int, set[str]]:
@@ -146,14 +153,16 @@ COMMAND_LINES = {
     "construct": command(["construct", "--n", "7", "--out", "{dir}/new.txt"], 0,
                          "commands.construct", *GEOMETRY),
     "count": command(["count", "{dir}/c6.txt"], 0, "commands.count", *GEOMETRY),
-    "count-star": command(["count", "{dir}/star.txt"], 4, "commands.count", *GEOMETRY),
+    "count-star": command(["count", "{dir}/star.txt"], 4, "commands.count", *GEOMETRY,
+                          "degeneracy", FAILED),
     "render": command(["render", "{dir}/c6.txt", "--highlight-splitters", "--shade-regions",
                        "--out", "{dir}/c6.svg"], 0, "commands.render", "embedding", "pairs", "render"),
     "verify": command(["verify"], 0, "commands.verify", "commands.count", *GEOMETRY),
     "oracle": command(["oracle", "--n", "6"], 0, "commands.oracle", "search"),
-    "oracle-too-large": command(["oracle", "--n", "20"], 2, "commands.oracle", "search"),
+    "oracle-too-large": command(["oracle", "--n", "20"], 2, "commands.oracle", "search", FAILED),
     "search": command(["search", "--n", "8", "--trials", "2"], 0, "commands.search", "probes", "pairs"),
-    "failed-search": command(["search", "--n", "8", "--trials", "0"], 2, "commands.search", "probes"),
+    "failed-search": command(["search", "--n", "8", "--trials", "0"], 2, "commands.search", "probes",
+                             FAILED),
     "help": command(["--help"], 0, "usage"),
     "render-help": command(["render", "--help"], 0, "usage"),
     # The benchmark's set-up import.
@@ -258,7 +267,8 @@ def test_search_counts_without_the_fraction_layer(launched):
 )
 def test_failed_command_loads_no_geometry_layer(launched, name, reached):
     # Every exception class of the error contract lives in formulas, which
-    # every command loads, so reporting a failure imports nothing more.
+    # every command loads, so reporting a failure imports no layer, only
+    # the exit-code report.
     loaded, _ = launched(name)
     assert f"cycleregions.{reached}" in loaded  # the command did run
     assert loaded.isdisjoint(LAYERS + ["cycleregions.pairs", "fractions", "decimal"])

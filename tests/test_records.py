@@ -8,9 +8,9 @@ from fractions import Fraction
 import pytest
 
 from cycleregions.arrangement import Arrangement, build_arrangement
+from cycleregions.degeneracy import DegeneracyReport
 from cycleregions.embedding import (
     CycleEmbedding,
-    DegeneracyReport,
     construct,
     pair_table,
 )
